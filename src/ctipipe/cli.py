@@ -20,14 +20,14 @@ from typing import Sequence
 from .analytics import categories_to_csv, categories_to_text, compute_stat_tables
 from .config import ConfigError, PipelineConfig, load_config
 from .correlation import GraphOptions, build_graph, find_path, graph_to_dot, graph_to_json
-from .enrichment import EnrichmentResult, enrich_transitively
+from .enrichment import EnrichmentResult, enrich_transitively, replay_closure
 from .events import (
     HASH_TYPES,
     MALWARE,
     REPORT,
     build_malware_event,
     build_report_event,
-    export_misp,
+    event_to_document,
     group_event_sets,
 )
 from .extraction import extract_indicators, normalize_defanged
@@ -40,8 +40,8 @@ from .filtering import (
     drop_values,
     load_denylist,
 )
-from .providers import AnalysisDataError, CachingProvider, ProviderError
-from .store import EventStore, StoreError, load_all
+from .providers import AnalysisDataError, ProviderError
+from .store import EventStore, StoreError, atomic_write, load_all
 
 
 class _UsageError(Exception):
@@ -75,13 +75,15 @@ def _report_files(config: PipelineConfig) -> list[Path]:
     return sorted(config.reports_dir.glob("*.txt"))
 
 
+def _read_report(text_path: Path, config: PipelineConfig) -> tuple[dict[str, str], str]:
+    """The report's metadata and its text with defanging undone."""
+    meta = _read_meta(text_path.with_suffix(".meta"))
+    return meta, normalize_defanged(text_path.read_text(encoding="utf-8"), config.defang_extra)
+
+
 def _normalized_report_texts(config: PipelineConfig) -> dict[str, str]:
-    texts = {}
-    for text_path in _report_files(config):
-        meta = _read_meta(text_path.with_suffix(".meta"))
-        raw = text_path.read_text(encoding="utf-8")
-        texts[meta["title"]] = normalize_defanged(raw, config.defang_extra)
-    return texts
+    reports = (_read_report(text_path, config) for text_path in _report_files(config))
+    return {meta["title"]: normalized for meta, normalized in reports}
 
 
 def _sidecar_path(config: PipelineConfig) -> Path:
@@ -97,62 +99,59 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
         raise StoreError(
             f"{config.store_path} already contains {len(store)} events; re-run with --force to rebuild"
         )
-    if args.force:
-        store.rewrite([])
+    events = []
     indicator_count = 0
     for text_path in reports:
-        meta = _read_meta(text_path.with_suffix(".meta"))
+        meta, normalized = _read_report(text_path, config)
         try:
             publication_date = dt.date.fromisoformat(meta["date"])
         except ValueError as exc:
             raise StoreError(f"{text_path.with_suffix('.meta')}: {exc}") from exc
-        normalized = normalize_defanged(text_path.read_text(encoding="utf-8"), config.defang_extra)
         indicators = extract_indicators(normalized, text_path.name, config.extensions)
-        store.append(build_report_event(meta["title"], publication_date, indicators))
+        events.append(build_report_event(meta["title"], publication_date, indicators))
         indicator_count += len(indicators)
+    if args.force:
+        store.rewrite([])
+    store.extend(events)
     print(f"ingested {len(reports)} reports, {indicator_count} indicators -> {config.store_path}")
     return 0
 
 
 def _cmd_enrich(config: PipelineConfig, args) -> int:
-    provider = CachingProvider(config.make_provider())
+    provider = config.make_provider()
     store = EventStore(config.store_path)
     events = store.events()
     if any(e.kind == MALWARE for e in events):
         raise StoreError(f"{config.store_path} already contains malware events")
 
-    merged = EnrichmentResult()
-    all_seeds: set[str] = set()
-    malware_count = 0
-    for report in [e for e in events if e.kind == REPORT]:
-        seeds = {a.value.lower() for a in report.attributes if a.type in HASH_TYPES}
-        if not seeds:
-            continue
+    depth_limit = args.depth if args.depth is not None else config.depth_limit
+    reports = [e for e in events if e.kind == REPORT]
+    seeded = [(r, {a.value.lower() for a in r.attributes if a.type in HASH_TYPES}) for r in reports]
+    all_seeds = set().union(*(seeds for _, seeds in seeded))
+    result = EnrichmentResult()
+    if all_seeds:
         result = enrich_transitively(
-            seeds,
+            all_seeds,
             provider,
-            args.depth if args.depth is not None else config.depth_limit,
+            depth_limit,
             retries=config.retry_count,
             backoff=config.retry_backoff,
             max_workers=config.max_workers,
         )
-        all_seeds.update(seeds)
-        merged.records.update(result.records)
-        merged.missing.update(result.missing)
-        merged.discovered.update(result.discovered)
-        for hash_value in sorted(result.all_hashes()):
-            store.append(build_malware_event(hash_value, result.records.get(hash_value), report.info, report.date))
-            malware_count += 1
+    malware = []
+    for report, seeds in seeded:
+        closure = replay_closure(seeds, result, depth_limit)
+        for hash_value in sorted(closure.all_hashes()):
+            malware.append(build_malware_event(hash_value, closure.records.get(hash_value), report.info, report.date))
 
-    merged.missing -= set(merged.records)
-    merged.discovered -= all_seeds
-    merged.query_count = provider.query_count
-    sidecar = _sidecar_path(config)
-    sidecar.write_text(json.dumps(merged.to_document(), indent=2) + "\n", encoding="utf-8")
+    # Sidecar first: the store's malware events mark the run as done, so a
+    # failure before they are committed leaves a store enrich accepts again.
+    atomic_write(_sidecar_path(config), [json.dumps(result.to_document(), indent=2) + "\n"])
+    store.extend(malware)
     print(
-        f"enriched {len(all_seeds)} extracted hashes: {len(merged.records)} records, "
-        f"{len(merged.missing)} missing, {len(merged.discovered)} discovered; "
-        f"{malware_count} malware events appended"
+        f"enriched {len(all_seeds)} extracted hashes: {len(result.records)} records, "
+        f"{len(result.missing)} missing, {len(result.discovered)} discovered; "
+        f"{len(malware)} malware events appended"
     )
     return 0
 
@@ -243,7 +242,7 @@ def _cmd_export(config: PipelineConfig, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for event in events:
-        document = export_misp(event)
+        document = event_to_document(event)
         (out / f"event_{event.id:05d}.json").write_text(
             json.dumps(document, indent=2) + "\n", encoding="utf-8"
         )

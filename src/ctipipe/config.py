@@ -51,6 +51,10 @@ class PipelineConfig:
             raise ConfigError(f"depth_limit must be >= 1, got {self.depth_limit}")
         if self.retry_count < 0:
             raise ConfigError(f"retry_count must be >= 0, got {self.retry_count}")
+        if self.max_workers < 1:
+            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
+        if self.provider_live is not None and self.provider_live.rate_limit <= 0:
+            raise ConfigError(f"provider.rate_limit must be > 0, got {self.provider_live.rate_limit}")
 
     def make_provider(self) -> AnalysisProvider:
         if self.provider_fixture is not None:
@@ -82,22 +86,14 @@ def _parse_key_values(text: str) -> dict:
     return data
 
 
-def _as_float(data: dict, key: str, default: float) -> float:
+def _as_number(data: dict, key: str, default: float, kind: type = float):
     if key not in data:
         return default
     try:
-        return float(data[key])
+        return kind(data[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected a number, got {data[key]!r}") from exc
-
-
-def _as_int(data: dict, key: str, default: int) -> int:
-    if key not in data:
-        return default
-    try:
-        return int(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected an integer, got {data[key]!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {data[key]!r}") from exc
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -133,7 +129,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             provider_live = LiveProviderConfig(
                 base_url=provider["base_url"],
                 api_key_env=provider["api_key_env"],
-                rate_limit=float(provider.get("rate_limit", 4.0)),
+                rate_limit=_as_number(provider, "rate_limit", 4.0),
             )
         except KeyError as exc:
             raise ConfigError(f"provider: missing {exc.args[0]!r}") from exc
@@ -163,15 +159,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         store_path=resolve("store_path", required=True),
         provider_fixture=provider_fixture,
         provider_live=provider_live,
-        depth_limit=_as_int(data, "depth_limit", 2),
+        depth_limit=_as_number(data, "depth_limit", 2, int),
         denylist_path=resolve("denylist"),
-        fuzzy_threshold=_as_float(data, "fuzzy_threshold", 0.8),
-        noise_threshold=_as_float(data, "noise_threshold", 0.7),
+        fuzzy_threshold=_as_number(data, "fuzzy_threshold", 0.8),
+        noise_threshold=_as_number(data, "noise_threshold", 0.7),
         extensions=extensions,
         defang_extra=defang_extra,
-        retry_count=_as_int(data, "retry_count", 3),
-        retry_backoff=_as_float(data, "retry_backoff", 0.5),
-        max_workers=_as_int(data, "max_workers", 4),
+        retry_count=_as_number(data, "retry_count", 3, int),
+        retry_backoff=_as_number(data, "retry_backoff", 0.5),
+        max_workers=_as_number(data, "max_workers", 4, int),
     )
     config.validate()
     return config

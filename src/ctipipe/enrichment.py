@@ -2,7 +2,10 @@
 
 Expansion is breadth-first with a visited set, one level at a time: every
 fetch inside a level may run concurrently, but levels are merged in sorted
-hash order, so the result does not depend on completion order.
+hash order, so the result does not depend on completion order. A walk over
+the union of several seed sets fetches exactly what separate walks would (a
+hash's distance from the union is its smallest distance from any one set), so
+each set's closure is then replayed from the fetched records.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .events import (
     Attribute,
@@ -186,17 +190,44 @@ def _fetch_with_retry(
     retries: int,
     backoff: float,
 ) -> AnalysisRecord | None:
-    attempt = 0
-    while True:
+    for attempt in range(retries + 1):
         try:
             return fetch_analysis(hash_value, provider)
         except ProviderError as exc:
-            attempt += 1
-            if attempt > retries:
+            if attempt == retries:
                 log.warning("giving up on %s after %d retries: %s", hash_value, retries, exc)
-                return None
+                raise
             if backoff > 0:
-                time.sleep(backoff * (2 ** (attempt - 1)))
+                time.sleep(backoff * 2**attempt)
+
+
+def _walk(seeds: set[str], depth_limit: int, fetch_level: Callable[[list[str]], dict]) -> EnrichmentResult:
+    """The breadth-first walk; ``fetch_level`` maps one level's sorted hashes
+    to their records, None where the hash has no analysis."""
+    records: dict[str, AnalysisRecord] = {}
+    missing: set[str] = set()
+    discovered: set[str] = set()
+    visited: set[str] = set()
+
+    frontier = sorted(seeds)
+    for _ in range(depth_limit):
+        visited.update(frontier)
+        results = fetch_level(frontier)
+        next_frontier: set[str] = set()
+        for hash_value in sorted(results):
+            record = results[hash_value]
+            if record is None:
+                missing.add(hash_value)
+                continue
+            records[hash_value] = record
+            for dropped in record.dropped_hashes:
+                if dropped not in seeds:
+                    discovered.add(dropped)
+                if dropped not in visited:
+                    next_frontier.add(dropped)
+        frontier = sorted(next_frontier)
+
+    return EnrichmentResult(records, missing, discovered, len(visited))
 
 
 def enrich_transitively(
@@ -212,7 +243,9 @@ def enrich_transitively(
 
     Seeds sit at depth 1. Every hash is queried at most once; hashes first
     seen beyond ``depth_limit`` are recorded as discovered but never queried,
-    which bounds the walk even on adversarial (cyclic) analysis graphs.
+    which bounds the walk even on adversarial (cyclic) analysis graphs. A
+    fetch that still fails after ``retries`` retries raises its
+    :class:`ProviderError`.
     """
     if not seeds:
         raise ValueError("seed set must not be empty")
@@ -222,37 +255,21 @@ def enrich_transitively(
     for seed in seed_set:
         classify_hash(seed)
 
-    records: dict[str, AnalysisRecord] = {}
-    missing: set[str] = set()
-    discovered: set[str] = set()
-    visited: set[str] = set()
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
 
-    frontier = sorted(seed_set)
-    depth = 1
-    while frontier and depth <= depth_limit:
-        visited.update(frontier)
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(frontier))) as pool:
+        def fetch_level(frontier: list[str]) -> dict[str, AnalysisRecord | None]:
             futures = {h: pool.submit(_fetch_with_retry, h, provider, retries, backoff) for h in frontier}
             # Sorted iteration keeps both the merge and error propagation deterministic.
-            results = {h: futures[h].result() for h in sorted(futures)}
+            return {h: futures[h].result() for h in sorted(futures)}
 
-        next_frontier: set[str] = set()
-        for hash_value in sorted(results):
-            record = results[hash_value]
-            if record is None:
-                missing.add(hash_value)
-                continue
-            records[hash_value] = record
-            for dropped in record.dropped_hashes:
-                if dropped not in seed_set:
-                    discovered.add(dropped)
-                if dropped not in visited:
-                    next_frontier.add(dropped)
+        return _walk(seed_set, depth_limit, fetch_level)
 
-        depth += 1
-        frontier = sorted(next_frontier) if depth <= depth_limit else []
 
-    return EnrichmentResult(records, missing, discovered, len(visited))
+def replay_closure(seeds: set[str], fetched: EnrichmentResult, depth_limit: int) -> EnrichmentResult:
+    """The walk from the lowercase ``seeds`` answered from the records of an
+    earlier walk whose seeds included them, with the same ``depth_limit``; no
+    provider is queried."""
+    return _walk(seeds, depth_limit, lambda frontier: {h: fetched.records.get(h) for h in frontier})
 
 
 def record_to_attributes(record: AnalysisRecord, origin_report: str) -> list[Attribute]:

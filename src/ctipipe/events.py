@@ -177,15 +177,6 @@ def document_to_event(document: dict) -> Event:
     return Event(event_id, date, info, kind, attributes)
 
 
-def export_misp(event: Event) -> dict:
-    """Exchange document for one event, importable by a MISP-style consumer."""
-    return event_to_document(event)
-
-
-def import_misp(document: dict) -> Event:
-    return document_to_event(document)
-
-
 def group_event_sets(events: list[Event]) -> list[EventSet]:
     """Reconstruct event sets by following malware back-links to report titles."""
     sets: dict[str, EventSet] = {}

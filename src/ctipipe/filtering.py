@@ -147,8 +147,8 @@ def contextual_noise_scores(dataset: list[EventSet], threshold: float = 0.7) -> 
     value itself excluded). A value shared by many mutually dissimilar sets
     scores near 1; a value confined to a single set scores 0.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be within (0, 1], got {threshold}")
     if len(dataset) < 2:
         raise ValueError("need at least two event sets to score noise")
 

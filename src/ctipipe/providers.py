@@ -97,28 +97,3 @@ class HttpProvider:
         except ValueError as exc:
             raise AnalysisDataError("document", f"response is not JSON: {exc}") from exc
 
-
-class CachingProvider:
-    """Memoizes fetches so a hash seen from several reports is queried once.
-
-    Retryable errors are not cached; data errors are re-raised consistently.
-    """
-
-    def __init__(self, inner: AnalysisProvider):
-        self.inner = inner
-        self._cache: dict[str, dict | None] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def query_count(self) -> int:
-        return len(self._cache)
-
-    def fetch(self, hash_value: str) -> dict | None:
-        key = hash_value.lower()
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        document = self.inner.fetch(key)
-        with self._lock:
-            self._cache[key] = document
-        return document

@@ -1,9 +1,10 @@
-"""Append-only event store: one JSON document per line, UTF-8.
+"""Event store: one JSON document per line, UTF-8.
 
 Event and attribute ids come from monotonic counters recovered by scanning
-the store on open, so ids stay unique across process restarts. A partial
-trailing line (crash during append) is tolerated on load and truncated away
-before the next write.
+the store on open, so ids stay unique across process restarts. Batches
+replace the whole file through a temp file, so a failed batch leaves the store
+as it was. A partial trailing line (crash during ``append``) is tolerated on
+load and truncated away before the next write.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 from .events import Event, document_to_event, event_to_document
 
@@ -61,6 +63,22 @@ def _read_store(path: Path) -> tuple[list[Event], int]:
     return events, valid_bytes
 
 
+def atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Replace ``path`` with ``chunks`` via a fsynced temp file renamed over
+    it; on any failure the old file stays and the temp file is removed."""
+    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    try:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_name, path)
+    except BaseException:
+        if os.path.exists(temp_name):
+            os.unlink(temp_name)
+        raise
+
+
 def load_all(path: str | Path) -> list[Event]:
     """All events in insertion order; empty or missing file yields []."""
     path = Path(path)
@@ -85,6 +103,9 @@ class EventStore:
                     handle.truncate(valid_bytes)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._recount_ids()
+
+    def _recount_ids(self) -> None:
         self._next_event_id = max((e.id for e in self._events), default=0) + 1
         self._next_attribute_id = (
             max((a.id for e in self._events for a in e.attributes), default=0) + 1
@@ -96,14 +117,18 @@ class EventStore:
     def __len__(self) -> int:
         return len(self._events)
 
-    def append(self, event: Event) -> Event:
-        """Assign the next ids, persist the event, and return the stored copy."""
+    def _assign_ids(self, event: Event) -> Event:
         attributes = []
         for attribute in event.attributes:
             attributes.append(replace(attribute, id=self._next_attribute_id))
             self._next_attribute_id += 1
         stored = replace(event, id=self._next_event_id, attributes=attributes)
         self._next_event_id += 1
+        return stored
+
+    def append(self, event: Event) -> Event:
+        """Assign the next ids, persist the event, and return the stored copy."""
+        stored = self._assign_ids(event)
         line = json.dumps(event_to_document(stored)) + "\n"
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line)
@@ -112,26 +137,19 @@ class EventStore:
         self._events.append(stored)
         return stored
 
+    def extend(self, events: list[Event]) -> list[Event]:
+        """Assign the next ids and commit every event in one :meth:`rewrite`;
+        on failure the file stays as it was."""
+        stored = [self._assign_ids(event) for event in events]
+        self.rewrite(self._events + stored)
+        return stored
+
     def rewrite(self, events: list[Event]) -> None:
         """Atomically replace the store content, keeping the given ids.
 
-        Used by the filtering stage, which rewrites events in place rather
-        than appending new ones.
+        Used by :meth:`extend` and by the filtering stage, which rewrites
+        events in place rather than appending new ones.
         """
-        descriptor, temp_name = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name)
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                for event in events:
-                    handle.write(json.dumps(event_to_document(event)) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, self.path)
-        except BaseException:
-            if os.path.exists(temp_name):
-                os.unlink(temp_name)
-            raise
+        atomic_write(self.path, (json.dumps(event_to_document(event)) + "\n" for event in events))
         self._events = list(events)
-        self._next_event_id = max((e.id for e in self._events), default=0) + 1
-        self._next_attribute_id = (
-            max((a.id for e in self._events for a in e.attributes), default=0) + 1
-        )
+        self._recount_ids()

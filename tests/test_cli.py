@@ -1,9 +1,11 @@
 import json
+import socket
 
 import pytest
 
 from ctipipe.cli import run_command
-from ctipipe.events import MALWARE, REPORT, import_misp
+from ctipipe.events import MALWARE, REPORT, document_to_event
+from ctipipe.providers import FixtureProvider
 from ctipipe.store import load_all
 
 from conftest import CLEAVER_MD5, CLEAVER_SHA1, CLEAVER_TITLE, GOLDEN_DIR, LAZARUS_DIR, write_config
@@ -27,6 +29,65 @@ def lazarus_config(tmp_path):
 
 def run(config, *argv):
     return run_command(["-c", str(config), *argv])
+
+
+# Two reports share seed SHARED; DROPPED, a seed of the second report, is a
+# depth-2 dropped hash of the first. DEEP is at depth 2 for the second report
+# and depth 3 for the first; LONE has no analysis.
+SHARED = "5d41402abc4b2a76b9719d911017c592"
+DROPPED = "7d793037a0760186574b0282f2f435e7"
+DEEP = "e4d909c290d0fb1ca068ffaddf22cbd0"
+LONE = "8277e0910d750195b448797616e091ad"
+
+
+def analysis_doc(md5, dropped=(), filename="sample.exe", ips=("10.0.0.1",)):
+    return {
+        "md5": md5,
+        "compile_timestamp": "2016-04-01T08:00:00Z",
+        "filenames": [filename],
+        "contacted_ips": list(ips),
+        "dropped_hashes": list(dropped),
+    }
+
+
+@pytest.fixture
+def overlap_config(tmp_path):
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for name, date, seeds in (
+        ("alpha", "2017-01-02", (SHARED, LONE)),
+        ("beta", "2017-05-06", (SHARED, DROPPED)),
+    ):
+        (reports / f"{name}.txt").write_text(f"Samples seen: {seeds[0]} and {seeds[1]}.\n")
+        (reports / f"{name}.meta").write_text(f"title: {name}_report.pdf\ndate: {date}\n")
+    provider = tmp_path / "provider"
+    provider.mkdir()
+    for md5, doc in (
+        (SHARED, analysis_doc(SHARED, [DROPPED], "loader.exe")),
+        (DROPPED, analysis_doc(DROPPED, [DEEP], "stage2.dll")),
+        (DEEP, analysis_doc(DEEP, [], "stage3.dll")),
+    ):
+        (provider / f"{md5}.json").write_text(json.dumps(doc))
+    return write_config(tmp_path, reports, provider=provider, retry_backoff=0)
+
+
+@pytest.fixture
+def fetch_log(monkeypatch):
+    calls = []
+    original = FixtureProvider.fetch
+
+    def fetch(self, hash_value):
+        calls.append(hash_value)
+        return original(self, hash_value)
+
+    monkeypatch.setattr(FixtureProvider, "fetch", fetch)
+    return calls
+
+
+def closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 class TestUsage:
@@ -135,6 +196,57 @@ class TestEnrich:
         # so its malware event is bare
         dropped = next(e for e in events if e.info == "c99a74c555371a433d121f551d6c6398")
         assert [a.type for a in dropped.attributes] == ["md5", "comment"]
+
+    def test_overlapping_reports_fetch_each_hash_once(self, overlap_config, tmp_path, fetch_log, capsys):
+        run(overlap_config, "ingest")
+        assert run(overlap_config, "enrich") == 0
+        assert sorted(fetch_log) == sorted([SHARED, DROPPED, DEEP, LONE])
+        assert "3 extracted hashes: 3 records, 1 missing, 1 discovered; 7 malware events" in capsys.readouterr().out
+        sets = {}
+        for event in load_all(tmp_path / "events.jsonl"):
+            if event.kind == MALWARE:
+                sets.setdefault(event.attributes[-1].value, []).append(event)
+        assert {title: [e.info for e in events] for title, events in sets.items()} == {
+            "alpha_report.pdf": sorted([SHARED, DROPPED, DEEP, LONE]),
+            "beta_report.pdf": sorted([SHARED, DROPPED, DEEP]),
+        }
+        # DEEP is beyond the first report's depth limit: a bare event there,
+        # the full analysis in the second report's set
+        alpha_deep, beta_deep = (next(e for e in sets[t] if e.info == DEEP) for t in sorted(sets))
+        assert [a.type for a in alpha_deep.attributes] == ["md5", "comment"]
+        assert "stage3.dll" in [a.value for a in beta_deep.attributes]
+        sidecar = json.loads((tmp_path / "events.jsonl.enrichment.json").read_text())
+        assert sidecar["query_count"] == 4
+        assert sidecar["discovered"] == [DEEP]
+
+    def test_data_error_mid_walk_leaves_store_unchanged(self, overlap_config, tmp_path, capsys):
+        run(overlap_config, "ingest")
+        store = tmp_path / "events.jsonl"
+        before = store.read_bytes()
+        deep = tmp_path / "provider" / f"{DEEP}.json"
+        good = deep.read_text()
+        deep.write_text(json.dumps(analysis_doc(DEEP, ips=["999.1.1.1"])))
+        assert run(overlap_config, "enrich") == 2
+        assert "contacted_ips" in capsys.readouterr().err
+        assert store.read_bytes() == before
+        assert not (tmp_path / "events.jsonl.enrichment.json").exists()
+        deep.write_text(good)
+        assert run(overlap_config, "enrich") == 0
+        assert sum(e.kind == MALWARE for e in load_all(store)) == 7
+
+    def test_exhausted_retries_fail_without_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", retry_count=0, **{
+            "provider.base_url": f"http://127.0.0.1:{closed_port()}/api",
+            "provider.api_key_env": "CTIPIPE_TEST_KEY",
+            "provider.rate_limit": 1000,
+        })
+        run(config, "ingest")
+        before = (tmp_path / "events.jsonl").read_bytes()
+        assert run(config, "enrich") == 2
+        assert "failed" in capsys.readouterr().err
+        assert (tmp_path / "events.jsonl").read_bytes() == before
+        assert not (tmp_path / "events.jsonl.enrichment.json").exists()
 
     def test_live_provider_without_key_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("MISSING_KEY_ENV", raising=False)
@@ -265,7 +377,7 @@ class TestExport:
         assert len(files) == 6
         events = load_all(tmp_path / "events.jsonl")
         for path, event in zip(files, events):
-            assert import_misp(json.loads(path.read_text())) == event
+            assert document_to_event(json.loads(path.read_text())) == event
 
     def test_export_keeps_store_untouched(self, golden_config, tmp_path):
         run(golden_config, "ingest")

@@ -13,6 +13,7 @@ def write(tmp_path, text, name="pipeline.conf"):
 
 
 BASE = "reports_dir = reports\nstore_path = events.jsonl\n"
+LIVE = "provider.base_url = https://analysis.example.com/api\nprovider.api_key_env = ANALYSIS_KEY\n"
 
 
 class TestKeyValueFormat:
@@ -75,7 +76,16 @@ class TestKeyValueFormat:
         with pytest.raises(ConfigError, match="store_path"):
             load_config(write(tmp_path, "reports_dir = reports\n"))
 
-    @pytest.mark.parametrize("line", ["fuzzy_threshold = 0", "noise_threshold = 1.2", "depth_limit = 0"])
+    @pytest.mark.parametrize("line", [
+        "fuzzy_threshold = 0",
+        "noise_threshold = 1.2",
+        "depth_limit = 0",
+        "noise_threshold = 0",
+        "max_workers = 0",
+        pytest.param(LIVE + "provider.rate_limit = 0", id="provider.rate_limit = 0"),
+        pytest.param(LIVE + "provider.rate_limit = -2", id="provider.rate_limit = -2"),
+        pytest.param(LIVE + "provider.rate_limit = fast", id="provider.rate_limit = fast"),
+    ])
     def test_invariants_enforced(self, tmp_path, line):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, BASE + line + "\n"))

@@ -13,10 +13,10 @@ from ctipipe.enrichment import (
     enrich_transitively,
     fetch_analysis,
     record_to_attributes,
+    replay_closure,
 )
 from ctipipe.providers import (
     AnalysisDataError,
-    CachingProvider,
     FixtureProvider,
     HttpProvider,
     ProviderError,
@@ -212,11 +212,12 @@ class TestEnrichTransitively:
         result = enrich_transitively({A}, provider, retries=3, backoff=0)
         assert A in result.records
 
-    def test_retry_exhaustion_marks_missing(self, caplog):
+    def test_retry_exhaustion_raises(self, caplog):
         provider = FlakyProvider({A: record_doc(A)}, failures=10)
         with caplog.at_level(logging.WARNING, logger="ctipipe.enrichment"):
-            result = enrich_transitively({A}, provider, retries=2, backoff=0)
-        assert result.missing == {A}
+            with pytest.raises(ProviderError, match="synthetic outage"):
+                enrich_transitively({A}, provider, retries=2, backoff=0)
+        assert provider.failures == 7
         assert any("giving up" in message for message in caplog.messages)
 
     def test_data_error_propagates(self):
@@ -243,6 +244,25 @@ class TestEnrichTransitively:
             provider = JitteryProvider(documents, random.Random(seed))
             result = enrich_transitively({A}, provider, depth_limit=3, backoff=0, max_workers=4)
             assert result == baseline
+
+    def test_one_walk_replays_each_seed_sets_own_walk(self):
+        # Oracle: a separate walk per seed set. The walk over their union
+        # must fetch exactly the union of those fetches, each hash once, and
+        # replaying a set's closure from it must give that set's own result.
+        rng = random.Random(11)
+        hashes = [f"{i:032x}" for i in range(1, 25)]
+        for _ in range(60):
+            documents = {h: record_doc(h, rng.sample(hashes, rng.randint(0, 3))) for h in hashes if rng.random() < 0.8}
+            seed_sets = [set(rng.sample(hashes, rng.randint(1, 3))) for _ in range(rng.randint(1, 4))]
+            depth = rng.randint(1, 4)
+            provider = MappingProvider(documents)
+            fetched = enrich_transitively(set().union(*seed_sets), provider, depth, backoff=0)
+            separate_calls = set()
+            for seeds in seed_sets:
+                alone = MappingProvider(documents)
+                assert replay_closure(seeds, fetched, depth) == enrich_transitively(seeds, alone, depth, backoff=0)
+                separate_calls.update(alone.calls)
+            assert sorted(provider.calls) == sorted(separate_calls)
 
     def test_result_document_round_trip(self):
         provider = MappingProvider({A: record_doc(A, [B])})
@@ -300,13 +320,6 @@ class TestProviders:
 
     def test_fixture_provider_case_insensitive_lookup(self, golden_provider):
         assert golden_provider.fetch(CLEAVER_MD5.upper()) is not None
-
-    def test_caching_provider_counts_unique_queries(self, golden_provider):
-        caching = CachingProvider(golden_provider)
-        caching.fetch(CLEAVER_MD5)
-        caching.fetch(CLEAVER_MD5)
-        caching.fetch("0" * 32)
-        assert caching.query_count == 2
 
     def test_http_provider_requires_key(self, monkeypatch):
         monkeypatch.delenv("CTIPIPE_TEST_KEY", raising=False)

@@ -14,9 +14,7 @@ from ctipipe.events import (
     build_report_event,
     document_to_event,
     event_to_document,
-    export_misp,
     group_event_sets,
-    import_misp,
     is_back_link,
 )
 from ctipipe.extraction import Indicator, IndicatorKind
@@ -143,19 +141,19 @@ class TestDocuments:
         )
 
     def test_field_names_and_order(self):
-        document = export_misp(self.figure_report_event())
+        document = event_to_document(self.figure_report_event())
         assert list(document) == ["id", "date", "info", "Attribute"]
         assert document["info"] == CLEAVER_TITLE
         assert document["date"] == "2014-12-03"
         assert list(document["Attribute"][0]) == ["category", "comment", "value", "type", "id"]
 
     def test_zero_attribute_event(self):
-        document = export_misp(Event(1, CLEAVER_DATE, "t.pdf", REPORT, []))
+        document = event_to_document(Event(1, CLEAVER_DATE, "t.pdf", REPORT, []))
         assert document["Attribute"] == []
 
     def test_export_import_round_trip_hand_event(self):
         event = self.figure_report_event()
-        assert import_misp(export_misp(event)) == event
+        assert document_to_event(event_to_document(event)) == event
 
     def test_export_import_round_trip_random(self):
         rng = random.Random(20260808)

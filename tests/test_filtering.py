@@ -257,6 +257,8 @@ class TestNoiseScores:
         sets = [event_set(0, ["a"]), event_set(1, ["b"])]
         with pytest.raises(ValueError):
             contextual_noise_scores(sets, threshold=1.5)
+        with pytest.raises(ValueError):
+            contextual_noise_scores(sets, threshold=0.0)
 
     def test_needs_two_sets(self):
         with pytest.raises(ValueError):

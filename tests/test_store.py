@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import os
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from ctipipe.events import (
     event_to_document,
 )
 from ctipipe.extraction import Indicator, IndicatorKind
-from ctipipe.store import CorruptStoreError, EventStore, load_all
+from ctipipe.store import CorruptStoreError, EventStore, atomic_write, load_all
 
 from conftest import CLEAVER_DATE, CLEAVER_MD5, CLEAVER_TITLE, DATA_DIR, random_event
 
@@ -154,3 +155,38 @@ class TestRewrite:
         store.rewrite(store.events()[:2])
         appended = store.append(simple_event("new.pdf"))
         assert appended.id == 3
+
+    def test_extend_commits_batch_with_continuing_ids(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        store = EventStore(path)
+        first = store.append(simple_event("r0.pdf"))
+        batch = store.extend([simple_event("r1.pdf"), simple_event("r2.pdf")])
+        assert [e.id for e in batch] == [2, 3]
+        assert [a.id for e in batch for a in e.attributes] == [2, 3]
+        assert load_all(path) == [first, *batch] == store.events()
+
+
+def failing_fsync(descriptor):
+    raise OSError("disk full")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.jsonl.enrichment.json"
+        path.write_text("old\n")
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, ["new\n"])
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_failed_extend_keeps_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.jsonl"
+        store = EventStore(path)
+        store.append(simple_event())
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            store.extend([simple_event("r1.pdf"), simple_event("r2.pdf")])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
