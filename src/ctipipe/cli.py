@@ -110,9 +110,7 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
         indicators = extract_indicators(normalized, text_path.name, config.extensions)
         events.append(build_report_event(meta["title"], publication_date, indicators))
         indicator_count += len(indicators)
-    if args.force:
-        store.rewrite([])
-    store.extend(events)
+    store.rebuild(events)
     print(f"ingested {len(reports)} reports, {indicator_count} indicators -> {config.store_path}")
     return 0
 

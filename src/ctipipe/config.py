@@ -9,6 +9,7 @@ is only ever named here, never stored: the value comes from the environment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +54,10 @@ class PipelineConfig:
             raise ConfigError(f"retry_count must be >= 0, got {self.retry_count}")
         if self.max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.provider_live is not None and self.provider_live.rate_limit <= 0:
-            raise ConfigError(f"provider.rate_limit must be > 0, got {self.provider_live.rate_limit}")
+        if self.provider_live is not None and not 0.0 < self.provider_live.rate_limit < math.inf:
+            raise ConfigError(
+                f"provider.rate_limit must be finite and > 0, got {self.provider_live.rate_limit}"
+            )
 
     def make_provider(self) -> AnalysisProvider:
         if self.provider_fixture is not None:

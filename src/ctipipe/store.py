@@ -1,10 +1,10 @@
 """Event store: one JSON document per line, UTF-8.
 
-Event and attribute ids come from monotonic counters recovered by scanning
-the store on open, so ids stay unique across process restarts. Batches
-replace the whole file through a temp file, so a failed batch leaves the store
-as it was. A partial trailing line (crash during ``append``) is tolerated on
-load and truncated away before the next write.
+New event and attribute ids continue from the largest ids in the store, so
+ids stay unique across process restarts. Every commit replaces the whole file
+through a temp file, so a failed commit leaves the store as it was. A partial
+trailing line (a torn write) is tolerated on load and truncated away before
+the next write.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ class EventStore:
                     handle.truncate(valid_bytes)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._recount_ids()
-
-    def _recount_ids(self) -> None:
-        self._next_event_id = max((e.id for e in self._events), default=0) + 1
-        self._next_attribute_id = (
-            max((a.id for e in self._events for a in e.attributes), default=0) + 1
-        )
 
     def events(self) -> list[Event]:
         return list(self._events)
@@ -117,39 +110,40 @@ class EventStore:
     def __len__(self) -> int:
         return len(self._events)
 
-    def _assign_ids(self, event: Event) -> Event:
-        attributes = []
-        for attribute in event.attributes:
-            attributes.append(replace(attribute, id=self._next_attribute_id))
-            self._next_attribute_id += 1
-        stored = replace(event, id=self._next_event_id, attributes=attributes)
-        self._next_event_id += 1
-        return stored
-
     def append(self, event: Event) -> Event:
-        """Assign the next ids, persist the event, and return the stored copy."""
-        stored = self._assign_ids(event)
-        line = json.dumps(event_to_document(stored)) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._events.append(stored)
-        return stored
+        """Commit one event under the next ids and return the stored copy."""
+        return self.extend([event])[0]
 
     def extend(self, events: list[Event]) -> list[Event]:
-        """Assign the next ids and commit every event in one :meth:`rewrite`;
-        on failure the file stays as it was."""
-        stored = [self._assign_ids(event) for event in events]
-        self.rewrite(self._events + stored)
+        """Commit ``events`` after the stored ones under the next ids, in one
+        :meth:`rewrite`; on failure the store stays as it was."""
+        return self._commit(self._events, events)
+
+    def rebuild(self, events: list[Event]) -> list[Event]:
+        """Replace the whole content with ``events`` under fresh ids from 1,
+        in one :meth:`rewrite`; on failure the store stays as it was."""
+        return self._commit([], events)
+
+    def _commit(self, kept: list[Event], events: list[Event]) -> list[Event]:
+        next_event_id = max((e.id for e in kept), default=0) + 1
+        next_attribute_id = max((a.id for e in kept for a in e.attributes), default=0) + 1
+        stored = []
+        for event in events:
+            attributes = [
+                replace(attribute, id=next_attribute_id + offset)
+                for offset, attribute in enumerate(event.attributes)
+            ]
+            next_attribute_id += len(attributes)
+            stored.append(replace(event, id=next_event_id, attributes=attributes))
+            next_event_id += 1
+        self.rewrite(kept + stored)
         return stored
 
     def rewrite(self, events: list[Event]) -> None:
         """Atomically replace the store content, keeping the given ids.
 
-        Used by :meth:`extend` and by the filtering stage, which rewrites
-        events in place rather than appending new ones.
+        Every commit goes through here: :meth:`extend`, :meth:`rebuild` and
+        the filtering stage, which rewrites events rather than adding new ones.
         """
         atomic_write(self.path, (json.dumps(event_to_document(event)) + "\n" for event in events))
         self._events = list(events)
-        self._recount_ids()

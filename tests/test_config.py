@@ -85,6 +85,8 @@ class TestKeyValueFormat:
         pytest.param(LIVE + "provider.rate_limit = 0", id="provider.rate_limit = 0"),
         pytest.param(LIVE + "provider.rate_limit = -2", id="provider.rate_limit = -2"),
         pytest.param(LIVE + "provider.rate_limit = fast", id="provider.rate_limit = fast"),
+        pytest.param(LIVE + "provider.rate_limit = nan", id="provider.rate_limit = nan"),
+        pytest.param(LIVE + "provider.rate_limit = inf", id="provider.rate_limit = inf"),
     ])
     def test_invariants_enforced(self, tmp_path, line):
         with pytest.raises(ConfigError):

@@ -190,3 +190,25 @@ class TestAtomicWrite:
             store.extend([simple_event("r1.pdf"), simple_event("r2.pdf")])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        monkeypatch.undo()
+        assert store.events() == load_all(path)
+        assert store.append(simple_event("r3.pdf")).id == 2
+
+    def test_rebuild_restarts_ids_in_one_commit(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.jsonl"
+        store = EventStore(path)
+        store.extend([simple_event("r0.pdf"), simple_event("r1.pdf")])
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            store.rebuild([simple_event("new.pdf")])
+        assert path.read_bytes() == before
+        assert len(store) == 2
+        monkeypatch.undo()
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", lambda descriptor: fsyncs.append(descriptor))
+        rebuilt = store.rebuild([simple_event("new0.pdf"), simple_event("new1.pdf")])
+        assert len(fsyncs) == 1
+        assert [e.id for e in rebuilt] == [1, 2]
+        assert [a.id for e in rebuilt for a in e.attributes] == [1, 2]
+        assert load_all(path) == rebuilt == store.events()
