@@ -50,20 +50,34 @@ class CorrelationGraph:
     edges: list[Edge] = field(default_factory=list)
 
 
+def _match_masks(x: str) -> dict[str, int]:
+    """Bit i of ``masks[c]`` is set where ``x[i] == c``."""
+    masks: dict[str, int] = {}
+    for i, c in enumerate(x):
+        masks[c] = masks.get(c, 0) | 1 << i
+    return masks
+
+
+def _lcs_bits(masks: dict[str, int], n: int, y: str) -> int:
+    """LCS length of ``y`` and the length-``n`` string behind ``masks``.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): the zero bits of ``v``
+    count the matched positions, so each character of ``y`` costs a few
+    operations on an n-bit int instead of a DP row.
+    """
+    full = (1 << n) - 1
+    v = full
+    for c in y:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
+
+
 def lcs_length(x: str, y: str) -> int:
-    """Longest common subsequence length, iterative two-row DP."""
-    if not x or not y:
-        return 0
-    previous = [0] * (len(y) + 1)
-    for cx in x:
-        current = [0]
-        for j, cy in enumerate(y, start=1):
-            if cx == cy:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(current[j - 1], previous[j]))
-        previous = current
-    return previous[-1]
+    """Longest common subsequence length, bit-parallel over the shorter string."""
+    if len(x) > len(y):
+        x, y = y, x
+    return _lcs_bits(_match_masks(x), len(x), y)
 
 
 def lcs_ratio(x: str, y: str) -> float:
@@ -119,20 +133,23 @@ def _event_pairs(event: Event, cross_set_only: bool) -> set[tuple[str, str]]:
     }
 
 
+def _owners(events: list[Event], cross_set_only: bool = False) -> dict[tuple[str, str], dict[int, None]]:
+    """The ids of the events holding each (type, value), as dict keys."""
+    owners: dict[tuple[str, str], dict[int, None]] = {}
+    for event in events:
+        for pair in _event_pairs(event, cross_set_only):
+            owners.setdefault(pair, {})[event.id] = None
+    return owners
+
+
 def exact_edges(events: list[Event], *, cross_set_only: bool = False) -> list[Edge]:
     """One edge per event pair per identical (type, value).
 
     With ``cross_set_only`` the back-link comments are skipped: they connect
     an event set's own members, which is already known ground truth.
     """
-    owners: dict[tuple[str, str], list[int]] = {}
-    for event in events:
-        for pair in sorted(_event_pairs(event, cross_set_only)):
-            owners.setdefault(pair, [])
-            if event.id not in owners[pair]:
-                owners[pair].append(event.id)
     edges = []
-    for (data_type, value), ids in owners.items():
+    for (data_type, value), ids in _owners(events, cross_set_only).items():
         ids = sorted(ids)
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
@@ -150,30 +167,51 @@ def fuzzy_edges(
     """Similarity edges between distinct name-like values of the same type.
 
     Equal values are exact_edges' business and never produce a fuzzy edge,
-    so no event pair carries both kinds for the same value pair.
+    so no event pair carries both kinds for the same value pair. Values are
+    grouped by canonical form, so each distinct canonical pair is scored
+    once; values sharing a canonical form score 1.0.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be within (0, 1], got {threshold}")
-    by_type: dict[str, list[tuple[str, int]]] = {}
-    for event in events:
-        for data_type, value in sorted(_event_pairs(event, False)):
-            if data_type in NAME_LIKE_TYPES:
-                entry = (value, event.id)
-                bucket = by_type.setdefault(data_type, [])
-                if entry not in bucket:
-                    bucket.append(entry)
-    edges: set[Edge] = set()
-    for data_type, entries in by_type.items():
-        for i, (value_i, id_i) in enumerate(entries):
-            for value_j, id_j in entries[i + 1:]:
-                if id_i == id_j or value_i == value_j:
-                    continue
-                similarity = name_similarity(value_i, value_j, data_type, suffixes)
+    groups: dict[str, dict[str, list[tuple[str, dict[int, None]]]]] = {}
+    for (data_type, value), ids in _owners(events).items():
+        if data_type not in NAME_LIKE_TYPES:
+            continue
+        canonical = canonical_name(value, data_type, suffixes)
+        groups.setdefault(data_type, {}).setdefault(canonical, []).append((value, ids))
+
+    edges: list[Edge] = []
+    for data_type, by_canonical in groups.items():
+        names = sorted(by_canonical, key=len)
+        for i, short in enumerate(names):
+            group = by_canonical[short]
+            for k, member in enumerate(group):
+                _link(edges, data_type, [member], group[k + 1:], 1.0)
+            n = len(short)
+            masks = _match_masks(short)
+            for long in names[i + 1:]:
+                m = len(long)
+                # The ratio with LCS = n, its largest value: once it fails,
+                # every longer name fails too.
+                if 2.0 * n / (n + m) < threshold:
+                    break
+                similarity = 2.0 * _lcs_bits(masks, n, long) / (n + m)
                 if similarity >= threshold:
-                    a, b = (id_i, id_j) if id_i < id_j else (id_j, id_i)
-                    va, vb = (value_i, value_j) if id_i < id_j else (value_j, value_i)
-                    edges.add(Edge(a, b, FUZZY, data_type, va, vb, round(similarity, 9)))
+                    _link(edges, data_type, group, by_canonical[long], round(similarity, 9))
     return sorted(edges, key=lambda e: (e.a, e.b, e.data_type, e.value_a, e.value_b))
+
+
+def _link(edges: list[Edge], data_type: str, left: list, right: list, weight: float) -> None:
+    """One edge per event pair across two lists of (value, owner ids) whose
+    values differ; an event is never linked to itself."""
+    for value_l, ids_l in left:
+        for value_r, ids_r in right:
+            for id_l in ids_l:
+                for id_r in ids_r:
+                    if id_l < id_r:
+                        edges.append(Edge(id_l, id_r, FUZZY, data_type, value_l, value_r, weight))
+                    elif id_r < id_l:
+                        edges.append(Edge(id_r, id_l, FUZZY, data_type, value_r, value_l, weight))
 
 
 def event_set_similarity(a: EventSet, b: EventSet) -> float:

@@ -197,8 +197,9 @@ def _fetch_with_retry(
             if attempt == retries:
                 log.warning("giving up on %s after %d retries: %s", hash_value, retries, exc)
                 raise
-            if backoff > 0:
-                time.sleep(backoff * 2**attempt)
+            delay = max(backoff * 2**attempt, exc.retry_after or 0.0)
+            if delay > 0:
+                time.sleep(delay)
 
 
 def _walk(seeds: set[str], depth_limit: int, fetch_level: Callable[[list[str]], dict]) -> EnrichmentResult:

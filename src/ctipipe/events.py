@@ -67,6 +67,15 @@ def is_back_link(attribute: Attribute) -> bool:
     return attribute.type == "comment" and attribute.category == CATEGORY_OTHER
 
 
+def event_kind(attributes: list[Attribute], event_id: int) -> str:
+    """The kind the back-links imply: exactly one makes a malware event, none
+    a report event; more than one is malformed."""
+    count = sum(1 for a in attributes if is_back_link(a))
+    if count > 1:
+        raise ValueError(f"event {event_id} has {count} back-links")
+    return MALWARE if count else REPORT
+
+
 def distinct_pairs(event_set: EventSet) -> set[tuple[str, str]]:
     """Distinct (type, value) pairs across the whole set, back-links excluded."""
     pairs: set[tuple[str, str]] = set()
@@ -157,7 +166,7 @@ def event_to_document(event: Event) -> dict:
 
 def document_to_event(document: dict) -> Event:
     """Inverse of :func:`event_to_document`; the event kind is re-derived
-    from the info field (a bare hash means a malware event)."""
+    from the back-links (see :func:`event_kind`)."""
     try:
         event_id = int(document["id"])
         date = dt.date.fromisoformat(document["date"])
@@ -173,25 +182,26 @@ def document_to_event(document: dict) -> Event:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed attribute item: {exc}") from exc
-    kind = MALWARE if looks_like_hash(info) else REPORT
-    return Event(event_id, date, info, kind, attributes)
+    return Event(event_id, date, info, event_kind(attributes, event_id), attributes)
 
 
 def group_event_sets(events: list[Event]) -> list[EventSet]:
     """Reconstruct event sets by following malware back-links to report titles."""
     sets: dict[str, EventSet] = {}
+    malware: list[Event] = []
     for event in events:
-        if event.kind == REPORT:
-            if event.info in sets:
-                raise ValueError(f"duplicate report event for {event.info!r}")
+        kind = event_kind(event.attributes, event.id)
+        if kind != event.kind:
+            found = "a" if kind == MALWARE else "no"
+            raise ValueError(f"{event.kind} event {event.id} has {found} back-link")
+        if kind == MALWARE:
+            malware.append(event)
+        elif event.info in sets:
+            raise ValueError(f"duplicate report event for {event.info!r}")
+        else:
             sets[event.info] = EventSet(event.info, event)
-    for event in events:
-        if event.kind != MALWARE:
-            continue
-        back_links = [a for a in event.attributes if is_back_link(a)]
-        if len(back_links) != 1:
-            raise ValueError(f"malware event {event.id} has {len(back_links)} back-links")
-        origin = back_links[0].value
+    for event in malware:
+        origin = next(a.value for a in event.attributes if is_back_link(a))
         if origin not in sets:
             raise ValueError(f"malware event {event.id} references unknown report {origin!r}")
         sets[origin].malware_events.append(event)

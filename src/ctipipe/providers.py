@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -21,7 +22,22 @@ log = logging.getLogger(__name__)
 
 
 class ProviderError(Exception):
-    """Transient transport or provider failure; the fetch may be retried."""
+    """Transient transport or provider failure; the fetch may be retried,
+    after at least ``retry_after`` seconds when the provider asked for it."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        self.retry_after = retry_after
+        super().__init__(message)
+
+
+def _retry_after_seconds(header: str | None) -> float | None:
+    """A ``Retry-After`` header given in seconds; None when absent or not a
+    finite, non-negative number (the HTTP-date form is not read)."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
 
 
 class AnalysisDataError(Exception):
@@ -91,7 +107,8 @@ class HttpProvider:
         if response.status_code == 404:
             return None
         if response.status_code != 200:
-            raise ProviderError(f"{url} returned HTTP {response.status_code}")
+            header = response.headers.get("Retry-After") if response.status_code in (429, 503) else None
+            raise ProviderError(f"{url} returned HTTP {response.status_code}", _retry_after_seconds(header))
         try:
             return response.json()
         except ValueError as exc:

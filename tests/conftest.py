@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ctipipe.enrichment import AnalysisRecord, fetch_analysis
-from ctipipe.events import Attribute, Event, MALWARE, REPORT
+from ctipipe.events import Attribute, Event, MALWARE, REPORT, is_back_link
 from ctipipe.providers import FixtureProvider
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -90,5 +90,9 @@ def random_event(rng: random.Random, event_id: int = 0) -> Event:
     else:
         info = "".join(rng.choice("0123456789abcdef") for _ in range(rng.choice([32, 40, 64])))
     date = dt.date(2008, 1, 1) + dt.timedelta(days=rng.randrange(0, 4200))
-    attributes = [random_attribute(rng) for _ in range(rng.randint(0, 6))]
+    # The kind follows the back-links: one for a malware event, none for a report.
+    attributes = [a for a in (random_attribute(rng) for _ in range(rng.randint(0, 6))) if not is_back_link(a)]
+    if kind == MALWARE:
+        back_link = Attribute("Other", "", random_value(rng, 12) + "_report.pdf", "comment")
+        attributes.insert(rng.randint(0, len(attributes)), back_link)
     return Event(event_id, date, info, kind, attributes)

@@ -1,5 +1,9 @@
 import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,15 @@ def closed_port():
 
 
 class TestUsage:
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "ctipipe", "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ingest" in result.stdout
+
     def test_missing_config(self, tmp_path, capsys):
         code = run_command(["-c", str(tmp_path / "nope.conf"), "ingest"])
         assert code == 1
@@ -247,6 +260,24 @@ class TestEnrich:
         assert "failed" in capsys.readouterr().err
         assert (tmp_path / "events.jsonl").read_bytes() == before
         assert not (tmp_path / "events.jsonl.enrichment.json").exists()
+
+    def test_hex_titled_report_stays_a_report(self, tmp_path, capsys):
+        # A bare-hex title looks like a hash; the kind comes from the back-link.
+        title = "d41d8cd98f00b204e9800998ecf8427e"
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        (reports / "digest.txt").write_text(f"Sample seen: {SHARED}.\n")
+        (reports / "digest.meta").write_text(f"title: {title}\ndate: 2017-01-02\n")
+        provider = tmp_path / "provider"
+        provider.mkdir()
+        (provider / f"{SHARED}.json").write_text(json.dumps(analysis_doc(SHARED)))
+        config = write_config(tmp_path, reports, provider=provider, retry_backoff=0)
+        assert run(config, "ingest") == 0
+        assert [(e.kind, e.info) for e in load_all(tmp_path / "events.jsonl")] == [(REPORT, title)]
+        assert run(config, "enrich") == 0
+        events = load_all(tmp_path / "events.jsonl")
+        assert [(e.kind, e.info) for e in events] == [(REPORT, title), (MALWARE, SHARED)]
+        assert run(config, "stats") == 0
 
     def test_live_provider_without_key_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("MISSING_KEY_ENV", raising=False)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from ctipipe.correlation import (
     EXACT,
     FUZZY,
+    NAME_LIKE_TYPES,
+    Edge,
     GraphOptions,
     build_graph,
     canonical_name,
@@ -48,6 +50,64 @@ def oracle_lcs(x, y):
     return rec(len(x), len(y))
 
 
+def dp_lcs(x, y):
+    """Two-row DP, the reference for the bit-parallel lcs_length."""
+    if not x or not y:
+        return 0
+    previous = [0] * (len(y) + 1)
+    for cx in x:
+        current = [0]
+        for j, cy in enumerate(y, start=1):
+            if cx == cy:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(current[j - 1], previous[j]))
+        previous = current
+    return previous[-1]
+
+
+def pairwise_fuzzy_edges(events, threshold, suffixes=frozenset({"com", "net", "org"})):
+    """Every pair of (value, event id) entries scored with the DP LCS: the
+    reference for fuzzy_edges."""
+    by_type = {}
+    for ev in events:
+        for attribute in ev.attributes:
+            if attribute.type in NAME_LIKE_TYPES:
+                bucket = by_type.setdefault(attribute.type, [])
+                if (attribute.value, ev.id) not in bucket:
+                    bucket.append((attribute.value, ev.id))
+    edges = set()
+    for data_type, entries in by_type.items():
+        for i, (value_i, id_i) in enumerate(entries):
+            for value_j, id_j in entries[i + 1:]:
+                if id_i == id_j or value_i == value_j:
+                    continue
+                x = canonical_name(value_i, data_type, suffixes)
+                y = canonical_name(value_j, data_type, suffixes)
+                similarity = 1.0 if not x and not y else 2.0 * dp_lcs(x, y) / (len(x) + len(y))
+                if similarity >= threshold:
+                    a, b = (id_i, id_j) if id_i < id_j else (id_j, id_i)
+                    va, vb = (value_i, value_j) if id_i < id_j else (value_j, value_i)
+                    edges.add(Edge(a, b, FUZZY, data_type, va, vb, round(similarity, 9)))
+    return sorted(edges, key=lambda e: (e.a, e.b, e.data_type, e.value_a, e.value_b))
+
+
+# Name-like values whose canonical forms collide often: empty ones ("", ".exe",
+# "  "), equal ones from different values ("ab.com", "AB.net"), and typo variants.
+_name_values = st.builds(
+    lambda stem, suffix: stem + suffix,
+    st.text(alphabet="abcAB -/", max_size=7),
+    st.sampled_from(["", ".com", ".net", ".exe", ".dll", ".xyz"]),
+)
+_name_pairs = st.lists(
+    st.tuples(st.sampled_from(["hostname", "url", "filename", "other", "md5"]), _name_values),
+    max_size=5,
+)
+_name_events = st.lists(st.tuples(st.integers(1, 8), _name_pairs), max_size=8).map(
+    lambda drafts: [event(event_id, pairs) for event_id, pairs in drafts]
+)
+
+
 class TestLcs:
     @pytest.mark.parametrize(
         "x,y,length",
@@ -66,6 +126,21 @@ class TestLcs:
     @settings(max_examples=150)
     def test_matches_recursive_oracle(self, x, y):
         assert lcs_length(x, y) == oracle_lcs(x, y)
+
+    @given(st.text(alphabet="ab\u00e9\u0436\u20ac\U0001f600", max_size=150),
+           st.text(alphabet="ab\u00e9\u0436\u20ac\U0001f600", max_size=150))
+    @settings(max_examples=150)
+    def test_matches_dp_beyond_one_word(self, x, y):
+        # Non-ASCII text, and lengths past 64 where the bit vector spans words.
+        assert lcs_length(x, y) == dp_lcs(x, y)
+
+    def test_long_strings_match_dp(self):
+        rng = random.Random(7)
+        for length in (63, 64, 65, 130, 300):
+            x = "".join(rng.choice("abc\u00e9") for _ in range(length))
+            y = "".join(rng.choice("abc\u00e9") for _ in range(rng.randint(1, 2 * length)))
+            assert lcs_length(x, y) == dp_lcs(x, y)
+            assert lcs_length(y, x) == dp_lcs(x, y)
 
     @given(st.text(alphabet="abcdef", max_size=16), st.text(alphabet="abcdef", max_size=16))
     @settings(max_examples=150)
@@ -227,6 +302,48 @@ class TestFuzzyEdges:
         pairs_exact = {(e.a, e.b, e.value_a, e.value_b) for e in graph.edges if e.kind == EXACT}
         pairs_fuzzy = {(e.a, e.b, e.value_a, e.value_b) for e in graph.edges if e.kind == FUZZY}
         assert pairs_exact and not pairs_exact & pairs_fuzzy
+
+
+class TestFuzzyAgainstPairwise:
+    @given(_name_events, st.one_of(st.sampled_from([0.05, 0.5, 0.8, 0.84, 1.0]), st.floats(0.01, 1.0)))
+    @settings(max_examples=400)
+    def test_matches_pairwise_oracle(self, events, threshold):
+        assert fuzzy_edges(events, threshold) == pairwise_fuzzy_edges(events, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.05, 1.0])
+    def test_canonical_collisions(self, threshold):
+        events = [
+            event(1, [("hostname", "bartsimpson.com"), ("hostname", "BartSimpson.net")]),
+            event(2, [("hostname", "bartsimpson.com"), ("filename", ".exe"), ("other", "  ")]),
+            event(3, [("hostname", "www.bsimpson.net"), ("filename", "C:/x/.dll"), ("other", "")]),
+            event(4, [("hostname", "bartsimpson.com"), ("url", "http://bsimpson.org/a")]),
+        ]
+        edges = fuzzy_edges(events, threshold)
+        assert edges == pairwise_fuzzy_edges(events, threshold)
+        assert (1, 2, "BartSimpson.net", "bartsimpson.com", 1.0) in {
+            (e.a, e.b, e.value_a, e.value_b, e.weight) for e in edges
+        }
+
+    def test_typo_variants_match_pairwise(self):
+        rng = random.Random(5)
+        bases = ["bartsimpson", "brightwater", "winterlace", "zhcat"]
+
+        def variant(base):
+            i = rng.randrange(len(base))
+            return base[:i] + rng.choice("aexz") + base[i + 1:]
+
+        events = [
+            event(event_id, [
+                ("hostname", variant(rng.choice(bases)) + rng.choice([".com", ".net", ".io"])),
+                ("url", f"http://{variant(rng.choice(bases))}.org/{rng.randrange(3)}"),
+                ("filename", variant(rng.choice(bases)) + ".exe"),
+            ])
+            for event_id in range(1, 41)
+        ]
+        for threshold in (0.5, 0.8, 0.9, 1.0):
+            edges = fuzzy_edges(events, threshold)
+            assert edges == pairwise_fuzzy_edges(events, threshold)
+        assert len(fuzzy_edges(events, 0.8)) > 100
 
 
 class TestEventSetSimilarity:

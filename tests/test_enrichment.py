@@ -4,6 +4,7 @@ import logging
 import random
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -312,6 +313,45 @@ class TestRecordToAttributes:
         ]
 
 
+@pytest.fixture
+def scripted_server():
+    """A loopback HTTP server answering GETs with the given (status, headers,
+    body) responses in turn; yields a factory returning its base URL and the
+    monotonic arrival time of each request."""
+    servers = []
+
+    def start(responses):
+        arrivals = []
+        script = iter(responses)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                arrivals.append(time.monotonic())
+                status, headers, body = next(script)
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}/api", arrivals
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 class TestProviders:
     def test_fixture_provider_invalid_json(self, tmp_path):
         (tmp_path / f"{A}.json").write_text("{broken", encoding="utf-8")
@@ -320,6 +360,31 @@ class TestProviders:
 
     def test_fixture_provider_case_insensitive_lookup(self, golden_provider):
         assert golden_provider.fetch(CLEAVER_MD5.upper()) is not None
+
+    @pytest.mark.parametrize("status,header,expected", [
+        (429, "0.2", 0.2),
+        (503, "3", 3.0),
+        (429, None, None),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),
+        (503, "-1", None),
+        (500, "5", None),
+    ])
+    def test_http_provider_reads_retry_after(self, scripted_server, monkeypatch, status, header, expected):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        url, _ = scripted_server([(status, {"Retry-After": header} if header else {}, b"")])
+        with pytest.raises(ProviderError) as caught:
+            HttpProvider(url, "CTIPIPE_TEST_KEY", rate_limit=1000).fetch(A)
+        assert caught.value.retry_after == expected
+
+    def test_retry_waits_for_retry_after(self, scripted_server, monkeypatch):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        document = json.dumps({"md5": A, "filenames": ["late.exe"]}).encode()
+        url, arrivals = scripted_server([(429, {"Retry-After": "0.2"}, b""), (200, {}, document)])
+        provider = HttpProvider(url, "CTIPIPE_TEST_KEY", rate_limit=1000)
+        result = enrich_transitively({A}, provider, 1, retries=1, backoff=0, max_workers=1)
+        assert result.records[A].filenames == ["late.exe"]
+        assert len(arrivals) == 2
+        assert arrivals[1] - arrivals[0] >= 0.2
 
     def test_http_provider_requires_key(self, monkeypatch):
         monkeypatch.delenv("CTIPIPE_TEST_KEY", raising=False)

@@ -161,6 +161,19 @@ class TestDocuments:
             event = random_event(rng, event_id)
             assert document_to_event(event_to_document(event)) == event
 
+    @pytest.mark.parametrize("info", ["d41d8cd98f00b204e9800998ecf8427e", "a" * 40, "report.pdf"])
+    def test_kind_follows_back_link_not_info(self, info):
+        attributes = [Attribute("Payload installation", "", "a" * 32, "md5")]
+        report = Event(1, CLEAVER_DATE, info, REPORT, attributes)
+        assert document_to_event(event_to_document(report)).kind == REPORT
+        malware = Event(2, CLEAVER_DATE, info, MALWARE, [*attributes, Attribute("Other", "", "r.pdf", "comment")])
+        assert document_to_event(event_to_document(malware)).kind == MALWARE
+
+    def test_two_back_links_malformed(self):
+        links = [Attribute("Other", "", title, "comment") for title in ("a.pdf", "b.pdf")]
+        with pytest.raises(ValueError, match="2 back-links"):
+            document_to_event(event_to_document(Event(3, CLEAVER_DATE, "a" * 32, MALWARE, links)))
+
     def test_malformed_document(self):
         with pytest.raises(ValueError, match="malformed event"):
             document_to_event({"id": 1, "info": "x"})
@@ -207,6 +220,12 @@ class TestGrouping:
         events = self.make_set("one.pdf", 1, [2])
         events[1].attributes = [a for a in events[1].attributes if not is_back_link(a)]
         with pytest.raises(ValueError, match="back-link"):
+            group_event_sets(events)
+
+    def test_report_with_back_link_rejected(self):
+        events = self.make_set("one.pdf", 1, [])
+        events[0].attributes = [Attribute("Other", "", "one.pdf", "comment")]
+        with pytest.raises(ValueError, match="report event 1 has a back-link"):
             group_event_sets(events)
 
     def test_duplicate_report_rejected(self):
