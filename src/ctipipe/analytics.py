@@ -10,12 +10,12 @@ from .enrichment import EnrichmentResult
 from .events import (
     Event,
     EventSet,
-    HASH_TYPES,
     MALWARE,
     REPORT,
     group_event_sets,
     is_back_link,
     looks_like_hash,
+    report_hashes,
 )
 from .extraction import looks_like_hostname
 
@@ -252,13 +252,7 @@ def pipeline_summary(events: list[Event], enrichment: EnrichmentResult) -> Pipel
     how many had analysis, and how many new ones the analyses surfaced."""
     reports = sum(1 for e in events if e.kind == REPORT)
     total_data = sum(len(e.attributes) for e in events)
-    extracted = {
-        a.value.lower()
-        for e in events
-        if e.kind == REPORT
-        for a in e.attributes
-        if a.type in HASH_TYPES
-    }
+    extracted = set().union(*(report_hashes(e) for e in events if e.kind == REPORT))
     analyzed = sum(1 for h in enrichment.records if h not in enrichment.discovered)
     return PipelineSummary(
         reports=reports,

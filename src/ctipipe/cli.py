@@ -22,13 +22,13 @@ from .config import ConfigError, PipelineConfig, load_config
 from .correlation import GraphOptions, build_graph, find_path, graph_to_dot, graph_to_json
 from .enrichment import EnrichmentResult, enrich_transitively, replay_closure
 from .events import (
-    HASH_TYPES,
     MALWARE,
     REPORT,
     build_malware_event,
     build_report_event,
     event_to_document,
     group_event_sets,
+    report_hashes,
 )
 from .extraction import extract_indicators, normalize_defanged
 from .filtering import (
@@ -124,7 +124,7 @@ def _cmd_enrich(config: PipelineConfig, args) -> int:
 
     depth_limit = args.depth if args.depth is not None else config.depth_limit
     reports = [e for e in events if e.kind == REPORT]
-    seeded = [(r, {a.value.lower() for a in r.attributes if a.type in HASH_TYPES}) for r in reports]
+    seeded = [(r, report_hashes(r)) for r in reports]
     all_seeds = set().union(*(seeds for _, seeds in seeded))
     result = EnrichmentResult()
     if all_seeds:

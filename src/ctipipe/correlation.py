@@ -10,8 +10,9 @@ domain label, basename without extension, or the lowercased string).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .events import Event, EventSet, distinct_pairs, is_back_link
+from .events import Event, EventSet, distinct_pairs, is_back_link, jaccard
 
 EXACT = "exact"
 FUZZY = "fuzzy"
@@ -20,13 +21,16 @@ FUZZY = "fuzzy"
 # nearly-equal ones are unrelated, so they never fuzzy-match.
 NAME_LIKE_TYPES = frozenset({"hostname", "url", "email", "filename", "pdb", "other"})
 
+# Stripped from hostnames and URLs by canonical_name; fixed, not a setting.
 DEFAULT_PUBLIC_SUFFIXES = frozenset({"com", "net", "org"})
 
 DEFAULT_FUZZY_THRESHOLD = 0.8
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One link between events a < b. The field order is the graph's edge
+    order, so a list of edges sorts with a plain ``sort()``."""
+
     a: int
     b: int
     kind: str
@@ -41,7 +45,6 @@ class GraphOptions:
     fuzzy: bool = False
     threshold: float = DEFAULT_FUZZY_THRESHOLD
     cross_set_only: bool = False
-    public_suffixes: frozenset[str] = DEFAULT_PUBLIC_SUFFIXES
 
 
 @dataclass
@@ -95,7 +98,7 @@ def _host_of(value: str) -> str:
     return host.split(":", 1)[0]
 
 
-def canonical_name(value: str, data_type: str, suffixes: frozenset[str] = DEFAULT_PUBLIC_SUFFIXES) -> str:
+def canonical_name(value: str, data_type: str) -> str:
     """Canonical form used for similarity.
 
     Hostnames and URLs reduce to the registrable-domain label with the public
@@ -104,7 +107,7 @@ def canonical_name(value: str, data_type: str, suffixes: frozenset[str] = DEFAUL
     """
     if data_type in ("hostname", "url"):
         labels = _host_of(value).lower().split(".")
-        if len(labels) >= 2 and labels[-1] in suffixes:
+        if len(labels) >= 2 and labels[-1] in DEFAULT_PUBLIC_SUFFIXES:
             return labels[-2]
         return ".".join(labels)
     if data_type == "filename":
@@ -113,16 +116,8 @@ def canonical_name(value: str, data_type: str, suffixes: frozenset[str] = DEFAUL
     return value.strip().lower()
 
 
-def name_similarity(
-    value_a: str,
-    value_b: str,
-    data_type: str,
-    suffixes: frozenset[str] = DEFAULT_PUBLIC_SUFFIXES,
-) -> float:
-    return lcs_ratio(
-        canonical_name(value_a, data_type, suffixes),
-        canonical_name(value_b, data_type, suffixes),
-    )
+def name_similarity(value_a: str, value_b: str, data_type: str) -> float:
+    return lcs_ratio(canonical_name(value_a, data_type), canonical_name(value_b, data_type))
 
 
 def _event_pairs(event: Event, cross_set_only: bool) -> set[tuple[str, str]]:
@@ -154,16 +149,11 @@ def exact_edges(events: list[Event], *, cross_set_only: bool = False) -> list[Ed
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 edges.append(Edge(ids[i], ids[j], EXACT, data_type, value, value, 1.0))
-    edges.sort(key=lambda e: (e.a, e.b, e.data_type, e.value_a, e.value_b))
+    edges.sort()
     return edges
 
 
-def fuzzy_edges(
-    events: list[Event],
-    threshold: float = DEFAULT_FUZZY_THRESHOLD,
-    *,
-    suffixes: frozenset[str] = DEFAULT_PUBLIC_SUFFIXES,
-) -> list[Edge]:
+def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD) -> list[Edge]:
     """Similarity edges between distinct name-like values of the same type.
 
     Equal values are exact_edges' business and never produce a fuzzy edge,
@@ -177,7 +167,7 @@ def fuzzy_edges(
     for (data_type, value), ids in _owners(events).items():
         if data_type not in NAME_LIKE_TYPES:
             continue
-        canonical = canonical_name(value, data_type, suffixes)
+        canonical = canonical_name(value, data_type)
         groups.setdefault(data_type, {}).setdefault(canonical, []).append((value, ids))
 
     edges: list[Edge] = []
@@ -198,7 +188,8 @@ def fuzzy_edges(
                 similarity = 2.0 * _lcs_bits(masks, n, long) / (n + m)
                 if similarity >= threshold:
                     _link(edges, data_type, group, by_canonical[long], round(similarity, 9))
-    return sorted(edges, key=lambda e: (e.a, e.b, e.data_type, e.value_a, e.value_b))
+    edges.sort()
+    return edges
 
 
 def _link(edges: list[Edge], data_type: str, left: list, right: list, weight: float) -> None:
@@ -217,10 +208,7 @@ def _link(edges: list[Edge], data_type: str, left: list, right: list, weight: fl
 def event_set_similarity(a: EventSet, b: EventSet) -> float:
     """Jaccard index over the distinct (type, value) pairs of two event sets,
     back-links excluded; 0.0 when both sets are empty."""
-    pairs_a, pairs_b = distinct_pairs(a), distinct_pairs(b)
-    if not pairs_a and not pairs_b:
-        return 0.0
-    return len(pairs_a & pairs_b) / len(pairs_a | pairs_b)
+    return jaccard(distinct_pairs(a), distinct_pairs(b))
 
 
 def build_graph(events: list[Event], options: GraphOptions | None = None) -> CorrelationGraph:
@@ -228,8 +216,8 @@ def build_graph(events: list[Event], options: GraphOptions | None = None) -> Cor
     nodes = {event.id: (event.kind, event.info) for event in events}
     edges = exact_edges(events, cross_set_only=options.cross_set_only)
     if options.fuzzy:
-        edges.extend(fuzzy_edges(events, options.threshold, suffixes=options.public_suffixes))
-        edges.sort(key=lambda e: (e.a, e.b, e.kind, e.data_type, e.value_a, e.value_b))
+        edges.extend(fuzzy_edges(events, options.threshold))
+        edges.sort()
     return CorrelationGraph(nodes, edges)
 
 
@@ -245,42 +233,44 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
 
     weight: dict[tuple[int, int], float] = {}
     adjacency: dict[int, set[int]] = {node: set() for node in graph.nodes}
-    for edge in graph.edges:
-        adjacency[edge.a].add(edge.b)
-        adjacency[edge.b].add(edge.a)
-        key = (min(edge.a, edge.b), max(edge.a, edge.b))
-        weight[key] = max(weight.get(key, 0.0), edge.weight)
+    for a, b, _, _, _, _, w in graph.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+        key = (a, b) if a < b else (b, a)
+        weight[key] = max(weight.get(key, 0.0), w)
 
-    distance = {start: 0}
-    frontier = [start]
-    while frontier and goal not in distance:
-        next_frontier = []
-        for node in frontier:
+    # Hop distances out from the goal, level by level, until the start.
+    distance = {goal: 0}
+    levels = [[goal]]
+    while levels[-1] and start not in distance:
+        levels.append([])
+        for node in levels[-2]:
             for neighbor in adjacency[node]:
                 if neighbor not in distance:
-                    distance[neighbor] = distance[node] + 1
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    if goal not in distance:
+                    distance[neighbor] = len(levels) - 1
+                    levels[-1].append(neighbor)
+    if start not in distance:
         return None
 
-    # Best path per node: maximize the bottleneck weight, then take the
-    # lexicographically smallest id sequence.
-    best: dict[int, tuple[float, tuple[int, ...]]] = {start: (float("inf"), (start,))}
-    by_level: dict[int, list[int]] = {}
-    for node, dist in distance.items():
-        by_level.setdefault(dist, []).append(node)
-    for dist in range(1, distance[goal] + 1):
-        for node in sorted(by_level.get(dist, [])):
-            candidates = []
-            for neighbor in adjacency[node]:
-                if distance.get(neighbor) == dist - 1 and neighbor in best:
-                    bottleneck, path = best[neighbor]
-                    pair = (min(node, neighbor), max(node, neighbor))
-                    candidates.append((min(bottleneck, weight[pair]), path + (node,)))
-            if candidates:
-                best[node] = max(candidates, key=lambda c: (c[0], tuple(-i for i in c[1])))
-    return list(best[goal][1])
+    def closer(node: int) -> list[tuple[int, float]]:
+        """Neighbors one hop nearer the goal, with the link weight."""
+        return [
+            (n, weight[(node, n) if node < n else (n, node)])
+            for n in adjacency[node]
+            if distance.get(n) == distance[node] - 1
+        ]
+
+    # reach[v]: the best bottleneck weight from v to the goal over shortest paths.
+    reach = {goal: float("inf")}
+    for level in levels[1:]:
+        for node in level:
+            reach[node] = max(min(w, reach[n]) for n, w in closer(node))
+
+    # Step to the smallest id that still keeps the start's best bottleneck.
+    path = [start]
+    while path[-1] != goal:
+        path.append(min(n for n, w in closer(path[-1]) if min(w, reach[n]) >= reach[start]))
+    return path
 
 
 def temporal_timeline(events: list[Event]) -> list[tuple]:
@@ -316,16 +306,5 @@ def graph_to_json(graph: CorrelationGraph) -> dict:
             {"id": node_id, "kind": kind, "info": info}
             for node_id, (kind, info) in sorted(graph.nodes.items())
         ],
-        "edges": [
-            {
-                "a": e.a,
-                "b": e.b,
-                "kind": e.kind,
-                "data_type": e.data_type,
-                "value_a": e.value_a,
-                "value_b": e.value_b,
-                "weight": e.weight,
-            }
-            for e in graph.edges
-        ],
+        "edges": [dict(zip(Edge._fields, edge)) for edge in graph.edges],
     }

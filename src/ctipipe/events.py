@@ -86,6 +86,19 @@ def distinct_pairs(event_set: EventSet) -> set[tuple[str, str]]:
     return pairs
 
 
+def jaccard(a: set, b: set) -> float:
+    """|a ∩ b| / |a ∪ b|; 0.0 when both sets are empty."""
+    if not a and not b:
+        return 0.0
+    return len(a & b) / len(a | b)
+
+
+def report_hashes(event: Event) -> set[str]:
+    """The lowercased hash values of a report event: the seeds enrichment
+    starts from, and the "extracted malware hashes" of the statistics."""
+    return {a.value.lower() for a in event.attributes if a.type in HASH_TYPES}
+
+
 # How each parsed indicator kind maps onto (category, attribute type).
 _INDICATOR_ATTRIBUTE = {
     IndicatorKind.URL: (CATEGORY_NETWORK, "url"),

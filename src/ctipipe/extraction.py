@@ -184,15 +184,9 @@ def _gather_candidates(doc: str, extensions: Iterable[str]) -> list[_Candidate]:
         if host:
             candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.URL, value))
 
-    for match in _EMAIL_RE.finditer(doc):
-        candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.EMAIL, match.group(0)))
-
     for match in _REGISTRY_RE.finditer(doc):
         value = match.group(0).rstrip(_TRAILING_PUNCT)
         candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.REGISTRY, value))
-
-    for match in _PDB_RE.finditer(doc):
-        candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.PDB, match.group(0)))
 
     for match in _HEX_RUN_RE.finditer(doc):
         run = match.group(0)
@@ -201,18 +195,22 @@ def _gather_candidates(doc: str, extensions: Iterable[str]) -> list[_Candidate]:
                 _Candidate(match.start(), match.end(), _HASH_LENGTHS[len(run)], run.lower())
             )
 
-    for match in _CVE_RE.finditer(doc):
-        candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.CVE, match.group(0)))
-
     for match in _IP_RE.finditer(doc):
         if is_valid_ip(match.group(0)):
             candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.IP, match.group(0)))
 
-    for match in _filename_pattern(extensions).finditer(doc):
-        candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.FILENAME, match.group(0)))
-
-    for match in _HOSTNAME_RE.finditer(doc):
-        candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.HOSTNAME, match.group(0)))
+    # Kinds whose whole match is the value. The gathering order does not
+    # matter: extract_indicators' sort key is total.
+    plain = (
+        (IndicatorKind.EMAIL, _EMAIL_RE),
+        (IndicatorKind.PDB, _PDB_RE),
+        (IndicatorKind.CVE, _CVE_RE),
+        (IndicatorKind.FILENAME, _filename_pattern(extensions)),
+        (IndicatorKind.HOSTNAME, _HOSTNAME_RE),
+    )
+    for kind, pattern in plain:
+        for match in pattern.finditer(doc):
+            candidates.append(_Candidate(match.start(), match.end(), kind, match.group(0)))
 
     return candidates
 

@@ -20,6 +20,7 @@ from .events import (
     HASH_TYPES,
     MALWARE,
     distinct_pairs,
+    jaccard,
 )
 
 
@@ -133,12 +134,6 @@ class NoiseReport:
     flagged: set[str]
 
 
-def _jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 def contextual_noise_scores(dataset: list[EventSet], threshold: float = 0.7) -> NoiseReport:
     """Score every attribute value by how much it looks like cross-set noise.
 
@@ -169,7 +164,7 @@ def contextual_noise_scores(dataset: list[EventSet], threshold: float = 0.7) -> 
             continue
         reduced = [{p for p in set_pairs[i] if p[1] != value} for i in indices]
         similarities = [
-            _jaccard(reduced[i], reduced[j])
+            jaccard(reduced[i], reduced[j])
             for i in range(k)
             for j in range(i + 1, k)
         ]

@@ -20,6 +20,9 @@ import requests
 
 log = logging.getLogger(__name__)
 
+# Seconds to wait for a live provider's response.
+REQUEST_TIMEOUT = 30.0
+
 
 class ProviderError(Exception):
     """Transient transport or provider failure; the fetch may be retried,
@@ -72,18 +75,11 @@ class HttpProvider:
     """Hash lookup against a live repository; the API key is only ever read
     from the named environment variable."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key_env: str,
-        rate_limit: float = 4.0,
-        timeout: float = 30.0,
-    ):
+    def __init__(self, base_url: str, api_key_env: str, rate_limit: float = 4.0):
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ProviderError(f"API key environment variable {api_key_env!r} is not set")
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
         self._min_interval = 1.0 / rate_limit if rate_limit > 0 else 0.0
         self._last_request = 0.0
         self._lock = threading.Lock()
@@ -101,7 +97,7 @@ class HttpProvider:
         self._throttle()
         url = f"{self.base_url}/{hash_value.lower()}"
         try:
-            response = self._session.get(url, timeout=self.timeout)
+            response = self._session.get(url, timeout=REQUEST_TIMEOUT)
         except requests.RequestException as exc:
             raise ProviderError(f"request to {url} failed: {exc}") from exc
         if response.status_code == 404:

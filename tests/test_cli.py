@@ -12,7 +12,7 @@ from ctipipe.events import MALWARE, REPORT, document_to_event
 from ctipipe.providers import FixtureProvider
 from ctipipe.store import load_all
 
-from conftest import CLEAVER_MD5, CLEAVER_SHA1, CLEAVER_TITLE, GOLDEN_DIR, LAZARUS_DIR, write_config
+from conftest import CLEAVER_MD5, CLEAVER_SHA1, CLEAVER_TITLE, DATA_DIR, GOLDEN_DIR, LAZARUS_DIR, write_config
 
 
 @pytest.fixture
@@ -396,6 +396,25 @@ class TestCorrelate:
         loose_edges = int(loose.split("nodes, ")[1].split(" edges")[0])
         strict_edges = int(strict.split("nodes, ")[1].split(" edges")[0])
         assert loose_edges > strict_edges
+
+
+class TestGraphFiles:
+    """correlate --dot and --json output, byte for byte, against files in
+    tests/data/graphs (golden: after ingest, enrich and filter; Lazarus: after
+    ingest)."""
+
+    @pytest.mark.parametrize("corpus", ["golden", "lazarus"])
+    @pytest.mark.parametrize("name,flags", [("", []), ("_fuzzy", ["--fuzzy", "--threshold", "0.2"])])
+    def test_matches_committed_files(self, corpus, name, flags, request, tmp_path):
+        config = request.getfixturevalue(f"{corpus}_config")
+        steps = ["ingest", "enrich", "filter"] if corpus == "golden" else ["ingest"]
+        for step in steps:
+            assert run(config, step) == 0
+        dot_path, json_path = tmp_path / "graph.dot", tmp_path / "graph.json"
+        assert run(config, "correlate", *flags, "--dot", str(dot_path), "--json", str(json_path)) == 0
+        expected = DATA_DIR / "graphs" / f"{corpus}{name}"
+        assert dot_path.read_bytes() == expected.with_suffix(".dot").read_bytes()
+        assert json_path.read_bytes() == expected.with_suffix(".json").read_bytes()
 
 
 class TestExport:

@@ -1,4 +1,6 @@
 import datetime as dt
+import itertools
+import json
 import random
 from functools import lru_cache
 
@@ -10,6 +12,7 @@ from ctipipe.correlation import (
     EXACT,
     FUZZY,
     NAME_LIKE_TYPES,
+    CorrelationGraph,
     Edge,
     GraphOptions,
     build_graph,
@@ -66,7 +69,7 @@ def dp_lcs(x, y):
     return previous[-1]
 
 
-def pairwise_fuzzy_edges(events, threshold, suffixes=frozenset({"com", "net", "org"})):
+def pairwise_fuzzy_edges(events, threshold):
     """Every pair of (value, event id) entries scored with the DP LCS: the
     reference for fuzzy_edges."""
     by_type = {}
@@ -82,14 +85,47 @@ def pairwise_fuzzy_edges(events, threshold, suffixes=frozenset({"com", "net", "o
             for value_j, id_j in entries[i + 1:]:
                 if id_i == id_j or value_i == value_j:
                     continue
-                x = canonical_name(value_i, data_type, suffixes)
-                y = canonical_name(value_j, data_type, suffixes)
+                x = canonical_name(value_i, data_type)
+                y = canonical_name(value_j, data_type)
                 similarity = 1.0 if not x and not y else 2.0 * dp_lcs(x, y) / (len(x) + len(y))
                 if similarity >= threshold:
                     a, b = (id_i, id_j) if id_i < id_j else (id_j, id_i)
                     va, vb = (value_i, value_j) if id_i < id_j else (value_j, value_i)
                     edges.add(Edge(a, b, FUZZY, data_type, va, vb, round(similarity, 9)))
-    return sorted(edges, key=lambda e: (e.a, e.b, e.data_type, e.value_a, e.value_b))
+    return sorted(edges, key=old_edge_key)
+
+
+# The edge order and JSON shape as they were spelled out before Edge became a
+# named tuple: the oracles for the plain sorts and for graph_to_json's zip.
+def old_edge_key(e):
+    """The sort key of exact_edges and of fuzzy_edges."""
+    return (e.a, e.b, e.data_type, e.value_a, e.value_b)
+
+
+def old_graph_key(e):
+    """The sort key of build_graph once fuzzy edges joined the exact ones."""
+    return (e.a, e.b, e.kind, e.data_type, e.value_a, e.value_b)
+
+
+def old_graph_to_json(graph):
+    return {
+        "nodes": [
+            {"id": node_id, "kind": kind, "info": info}
+            for node_id, (kind, info) in sorted(graph.nodes.items())
+        ],
+        "edges": [
+            {
+                "a": e.a,
+                "b": e.b,
+                "kind": e.kind,
+                "data_type": e.data_type,
+                "value_a": e.value_a,
+                "value_b": e.value_b,
+                "weight": e.weight,
+            }
+            for e in graph.edges
+        ],
+    }
 
 
 # Name-like values whose canonical forms collide often: empty ones ("", ".exe",
@@ -106,6 +142,15 @@ _name_pairs = st.lists(
 _name_events = st.lists(st.tuples(st.integers(1, 8), _name_pairs), max_size=8).map(
     lambda drafts: [event(event_id, pairs) for event_id, pairs in drafts]
 )
+# Events sharing values exactly and by similarity, back-links ("comment" in
+# category "Other") included, with distinct ids.
+_graph_events = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(["hostname", "filename", "other", "md5", "comment"]), _name_values),
+        max_size=5,
+    ),
+    max_size=8,
+).map(lambda drafts: [event(event_id, pairs) for event_id, pairs in enumerate(drafts, start=1)])
 
 
 class TestLcs:
@@ -171,13 +216,11 @@ class TestCanonicalForms:
             ("archive.tar.gz", "filename", "archive.tar"),
             ("  Mixed Case Marker  ", "other", "mixed case marker"),
             ("e:\\P\\x.pdb", "pdb", "e:\\p\\x.pdb"),
+            ("update.example.dev", "hostname", "update.example.dev"),  # suffixes are fixed
         ],
     )
     def test_canonical(self, value, data_type, expected):
         assert canonical_name(value, data_type) == expected
-
-    def test_custom_suffixes(self):
-        assert canonical_name("update.example.dev", "hostname", frozenset({"dev"})) == "example"
 
 
 class TestExactEdges:
@@ -346,6 +389,31 @@ class TestFuzzyAgainstPairwise:
         assert len(fuzzy_edges(events, 0.8)) > 100
 
 
+class TestEdgeOrder:
+    @given(_graph_events, st.sampled_from([None, 0.5, 1.0]), st.booleans())
+    @settings(max_examples=300)
+    def test_plain_sorts_match_old_keys(self, events, threshold, cross_set_only):
+        # Each list is re-sorted from reversed order, so a key that left ties
+        # to the input order would show here.
+        exact = exact_edges(events, cross_set_only=cross_set_only)
+        assert exact == sorted(exact[::-1], key=old_edge_key)
+        edges = exact
+        if threshold is not None:
+            fuzzy = fuzzy_edges(events, threshold)
+            assert fuzzy == sorted(fuzzy[::-1], key=old_edge_key)
+            edges = exact + fuzzy
+        options = GraphOptions(fuzzy=threshold is not None, threshold=threshold or 0.8, cross_set_only=cross_set_only)
+        graph = build_graph(events, options)
+        assert graph.edges == sorted(edges[::-1], key=old_graph_key)
+        # Compared as text: JSON output depends on key order, dict equality does not.
+        assert json.dumps(graph_to_json(graph), indent=2) == json.dumps(old_graph_to_json(graph), indent=2)
+
+    def test_edge_equals_plain_tuple(self):
+        edge = Edge(1, 2, EXACT, "other", "x", "x", 1.0)
+        assert edge == (1, 2, "exact", "other", "x", "x", 1.0)
+        assert Edge._fields == ("a", "b", "kind", "data_type", "value_a", "value_b", "weight")
+
+
 class TestEventSetSimilarity:
     def set_of(self, index, pairs):
         title = f"s{index}.pdf"
@@ -378,6 +446,32 @@ class TestEventSetSimilarity:
             Event(4, DATE, "b" * 32, MALWARE, [Attribute("Other", "", title, "comment")]),
         ])
         assert event_set_similarity(left, right) == 0.0
+
+
+def weighted_graph(nodes, links):
+    """A graph with one fuzzy edge per (a, b, weight) link."""
+    edges = [Edge(min(a, b), max(a, b), FUZZY, "other", f"v{a}", f"v{b}", w) for a, b, w in links]
+    return CorrelationGraph({node: (REPORT, f"e{node}") for node in nodes}, sorted(edges))
+
+
+def brute_force_path(links, start, goal):
+    """Every simple path, ranked as find_path documents: fewer hops, then the
+    larger smallest weight, then the smaller id sequence."""
+    weight = {}
+    for a, b, w in links:
+        weight[a, b] = weight[b, a] = max(w, weight.get((a, b), 0.0))
+    ranked = []
+
+    def extend(path, bottleneck):
+        if path[-1] == goal:
+            ranked.append((len(path), -bottleneck, path))
+            return
+        for (left, right), w in weight.items():
+            if left == path[-1] and right not in path:
+                extend(path + [right], min(bottleneck, w))
+
+    extend([start], float("inf"))
+    return min(ranked)[2] if ranked else None
 
 
 class TestPaths:
@@ -430,6 +524,26 @@ class TestPaths:
         ]
         graph = build_graph(events)
         assert find_path(graph, 1, 4) == [1, 2, 4]
+
+    def test_equal_bottleneck_falls_to_smaller_ids(self):
+        # Both 3-hop routes bottleneck at the last hop (0.8). The stronger
+        # first hop 1-3 must not decide: the smaller id sequence wins.
+        links = [(1, 2, 0.85), (1, 3, 0.9), (2, 4, 0.95), (3, 4, 0.95), (4, 5, 0.8)]
+        assert find_path(weighted_graph(range(1, 6), links), 1, 5) == [1, 2, 4, 5]
+
+    def test_matches_brute_force_on_random_weighted_graphs(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            nodes = rng.sample(range(1, 40), rng.randint(2, 7))
+            links = [
+                (a, b, rng.choice([0.5, 0.8, 0.9, 1.0]))
+                for a, b in itertools.combinations(nodes, 2)
+                if rng.random() < 0.45
+            ]
+            links += [(a, b, rng.choice([0.5, 1.0])) for a, b, _ in links if rng.random() < 0.2]
+            graph = weighted_graph(nodes, links)
+            for start, goal in itertools.product(nodes, repeat=2):
+                assert find_path(graph, start, goal) == brute_force_path(links, start, goal), (links, start, goal)
 
     def test_path_is_minimal_and_exists_in_graph(self):
         rng = random.Random(31)

@@ -16,6 +16,7 @@ from ctipipe.events import (
     event_to_document,
     group_event_sets,
     is_back_link,
+    report_hashes,
 )
 from ctipipe.extraction import Indicator, IndicatorKind
 
@@ -182,6 +183,17 @@ class TestDocuments:
         document = {"id": 1, "date": "2014-12-03", "info": "t.pdf", "Attribute": [{"value": "x"}]}
         with pytest.raises(ValueError, match="malformed attribute"):
             document_to_event(document)
+
+
+class TestReportHashes:
+    def test_report_hashes_lowercased_hash_types_only(self):
+        event = Event(1, CLEAVER_DATE, CLEAVER_TITLE, REPORT, [
+            Attribute("Payload installation", "", CLEAVER_MD5.upper(), "md5"),
+            Attribute("Payload installation", "", CLEAVER_SHA1, "sha1"),
+            Attribute("Payload installation", "", CLEAVER_MD5, "md5"),
+            Attribute("Network activity", "", "aa" * 16, "hostname"),
+        ])
+        assert report_hashes(event) == {CLEAVER_MD5, CLEAVER_SHA1}
 
 
 class TestGrouping:

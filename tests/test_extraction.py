@@ -8,6 +8,8 @@ from ctipipe.extraction import (
     DEFAULT_FILENAME_EXTENSIONS,
     Indicator,
     IndicatorKind,
+    _PRIORITY,
+    _gather_candidates,
     classify_hash,
     extract_indicators,
     is_valid_ip,
@@ -231,6 +233,16 @@ class TestInvariants:
             assert indicator.offset >= last_end
             last_end = indicator.offset + len(indicator.value)
             assert doc[indicator.offset:last_end].lower() == indicator.value.lower()
+
+    @given(st.text(alphabet=st.sampled_from("abCVE-0123.pdbx:/@\\ \n"), max_size=120))
+    @settings(max_examples=100)
+    @example(SAMPLE_DOC)
+    def test_candidate_order_is_total(self, text):
+        # No two candidates share extract_indicators' sort key, so the order
+        # in which _gather_candidates collects them cannot change the output.
+        candidates = _gather_candidates(text, DEFAULT_FILENAME_EXTENSIONS)
+        keys = {(c.start, c.start - c.end, _PRIORITY[c.kind]) for c in candidates}
+        assert len(keys) == len(candidates)
 
 
 def test_default_extension_list_matches_contract():
