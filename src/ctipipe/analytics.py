@@ -46,6 +46,18 @@ def classify_category(
     results is split on whether the report text actually contained it (the
     parser simply missed it) or not (genuinely new data).
     """
+    return _classify(value, parser_values, malware_values, report_text, report_text.lower())
+
+
+def _classify(
+    value: str,
+    parser_values: set[str],
+    malware_values: set[str],
+    report_text: str,
+    lowered_text: str,
+) -> CategoryLabel:
+    """:func:`classify_category` with the report text lowercased by the
+    caller, once per report."""
     in_parser = value in parser_values
     in_malware = value in malware_values
     if not in_parser and not in_malware:
@@ -55,7 +67,7 @@ def classify_category(
     if in_parser:
         return CategoryLabel.PARSER_ONLY
     if _caseless(value):
-        contained = value.lower() in report_text.lower()
+        contained = value.lower() in lowered_text
     else:
         contained = value in report_text
     return CategoryLabel.MALWARE_IN_REPORT if contained else CategoryLabel.MALWARE_NEW
@@ -82,9 +94,10 @@ def category_counts(
         text = report_texts.get(event_set.report_title)
         if text is None:
             raise ValueError(f"no report text for {event_set.report_title!r}")
+        lowered = text.lower()
         parser_values, malware_values = _set_value_sides(event_set)
         for value in sorted(parser_values | malware_values):
-            counts[classify_category(value, parser_values, malware_values, text)] += 1
+            counts[_classify(value, parser_values, malware_values, text, lowered)] += 1
     return counts
 
 

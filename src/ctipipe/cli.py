@@ -199,9 +199,9 @@ def _cmd_stats(config: PipelineConfig, args) -> int:
     if args.csv_dir:
         out = Path(args.csv_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.csv").write_text(tables.summary.to_csv(), encoding="utf-8")
-        (out / "data_types.csv").write_text(tables.by_type_year.to_csv(), encoding="utf-8")
-        (out / "categories.csv").write_text(categories_to_csv(tables.category_pct), encoding="utf-8")
+        atomic_write(out / "summary.csv", [tables.summary.to_csv()])
+        atomic_write(out / "data_types.csv", [tables.by_type_year.to_csv()])
+        atomic_write(out / "categories.csv", [categories_to_csv(tables.category_pct)])
         print(f"CSV written to {out}")
     return 0
 
@@ -216,7 +216,9 @@ def _cmd_correlate(config: PipelineConfig, args) -> int:
         cross_set_only=args.cross_set_only,
     )
     graph = build_graph(events, options)
-    print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
+    # The edge list is built only for the files that print it.
+    edge_count = len(graph.edges) if args.dot or args.json_out else graph.edge_count()
+    print(f"graph: {len(graph.nodes)} nodes, {edge_count} edges")
     if args.path:
         start, goal = args.path
         path = find_path(graph, start, goal)
@@ -225,11 +227,9 @@ def _cmd_correlate(config: PipelineConfig, args) -> int:
         else:
             print(" -> ".join(f"{node}:{graph.nodes[node][1]}" for node in path))
     if args.dot:
-        Path(args.dot).write_text(graph_to_dot(graph), encoding="utf-8")
+        atomic_write(Path(args.dot), [graph_to_dot(graph)])
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(graph_to_json(graph), indent=2) + "\n", encoding="utf-8"
-        )
+        atomic_write(Path(args.json_out), [json.dumps(graph_to_json(graph), indent=2) + "\n"])
     return 0
 
 

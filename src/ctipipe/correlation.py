@@ -10,6 +10,8 @@ domain label, basename without extension, or the lowercased string).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import comb
 from typing import NamedTuple
 
 from .events import Event, EventSet, distinct_pairs, is_back_link, jaccard
@@ -47,10 +49,58 @@ class GraphOptions:
     cross_set_only: bool = False
 
 
+class Link(NamedTuple):
+    """Every event pair that one value, or one similar value pair, links.
+
+    An exact link is a clique: each two of ``left`` (``right`` is the same
+    tuple) share the value. A fuzzy link is a biclique: each event of
+    ``left`` to each other event of ``right``."""
+
+    kind: str
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    weight: float
+
+
 @dataclass
 class CorrelationGraph:
+    """Events as nodes, joined through the values they share or resemble.
+
+    ``links`` is the form path search reads, one per shared value and one per
+    similar value pair; ``edges`` lists every linked event pair per value
+    pair, for DOT and JSON output. Each is built from ``events`` on first use.
+    """
+
     nodes: dict[int, tuple[str, str]]  # event id -> (kind, info)
-    edges: list[Edge] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list, repr=False)
+    options: GraphOptions = field(default_factory=GraphOptions)
+
+    @cached_property
+    def links(self) -> list[Link]:
+        owners = _owners(self.events, self.options.cross_set_only)
+        links = [Link(EXACT, ids, ids, 1.0) for ids in map(tuple, owners.values()) if len(ids) > 1]
+        if self.options.fuzzy:
+            links += [
+                Link(FUZZY, tuple(ids_l), tuple(ids_r), weight)
+                for _, _, ids_l, _, ids_r, weight in _similar_values(owners, self.options.threshold)
+            ]
+        return links
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        edges = exact_edges(self.events, cross_set_only=self.options.cross_set_only)
+        if self.options.fuzzy:
+            edges.extend(fuzzy_edges(self.events, self.options.threshold))
+            edges.sort()
+        return edges
+
+    def edge_count(self) -> int:
+        """``len(self.edges)``, counted from the links."""
+        return sum(
+            comb(len(link.left), 2) if link.kind == EXACT
+            else len(link.left) * len(link.right) - len(set(link.left) & set(link.right))
+            for link in self.links
+        )
 
 
 def _match_masks(x: str) -> dict[str, int]:
@@ -154,29 +204,48 @@ def exact_edges(events: list[Event], *, cross_set_only: bool = False) -> list[Ed
 
 
 def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD) -> list[Edge]:
-    """Similarity edges between distinct name-like values of the same type.
+    """Similarity edges between distinct name-like values of the same type:
+    one per event pair across each pair of similar values (see
+    :func:`_similar_values`); an event is never linked to itself."""
+    edges = []
+    for data_type, value_l, ids_l, value_r, ids_r, weight in _similar_values(_owners(events), threshold):
+        for id_l in ids_l:
+            for id_r in ids_r:
+                if id_l < id_r:
+                    edges.append(Edge(id_l, id_r, FUZZY, data_type, value_l, value_r, weight))
+                elif id_r < id_l:
+                    edges.append(Edge(id_r, id_l, FUZZY, data_type, value_r, value_l, weight))
+    edges.sort()
+    return edges
 
-    Equal values are exact_edges' business and never produce a fuzzy edge,
-    so no event pair carries both kinds for the same value pair. Values are
-    grouped by canonical form, so each distinct canonical pair is scored
-    once; values sharing a canonical form score 1.0.
+
+def _similar_values(owners: dict[tuple[str, str], dict[int, None]], threshold: float) -> list[tuple]:
+    """(data_type, value, owner ids, other value, its owner ids, weight) for
+    each pair of distinct name-like values of one type whose similarity
+    reaches ``threshold``, weight rounded to 9 places.
+
+    Equal values are exact matches and never pair here, so no event pair
+    is linked both exactly and fuzzily through the same values. Values are grouped by
+    canonical form, so each distinct canonical pair is scored once; values
+    sharing a canonical form score 1.0.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be within (0, 1], got {threshold}")
     groups: dict[str, dict[str, list[tuple[str, dict[int, None]]]]] = {}
-    for (data_type, value), ids in _owners(events).items():
+    for (data_type, value), ids in owners.items():
         if data_type not in NAME_LIKE_TYPES:
             continue
         canonical = canonical_name(value, data_type)
         groups.setdefault(data_type, {}).setdefault(canonical, []).append((value, ids))
 
-    edges: list[Edge] = []
+    similar = []
     for data_type, by_canonical in groups.items():
         names = sorted(by_canonical, key=len)
         for i, short in enumerate(names):
             group = by_canonical[short]
-            for k, member in enumerate(group):
-                _link(edges, data_type, [member], group[k + 1:], 1.0)
+            for k, (value_l, ids_l) in enumerate(group):
+                for value_r, ids_r in group[k + 1:]:
+                    similar.append((data_type, value_l, ids_l, value_r, ids_r, 1.0))
             n = len(short)
             masks = _match_masks(short)
             for long in names[i + 1:]:
@@ -187,22 +256,11 @@ def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD)
                     break
                 similarity = 2.0 * _lcs_bits(masks, n, long) / (n + m)
                 if similarity >= threshold:
-                    _link(edges, data_type, group, by_canonical[long], round(similarity, 9))
-    edges.sort()
-    return edges
-
-
-def _link(edges: list[Edge], data_type: str, left: list, right: list, weight: float) -> None:
-    """One edge per event pair across two lists of (value, owner ids) whose
-    values differ; an event is never linked to itself."""
-    for value_l, ids_l in left:
-        for value_r, ids_r in right:
-            for id_l in ids_l:
-                for id_r in ids_r:
-                    if id_l < id_r:
-                        edges.append(Edge(id_l, id_r, FUZZY, data_type, value_l, value_r, weight))
-                    elif id_r < id_l:
-                        edges.append(Edge(id_r, id_l, FUZZY, data_type, value_r, value_l, weight))
+                    weight = round(similarity, 9)
+                    for value_l, ids_l in group:
+                        for value_r, ids_r in by_canonical[long]:
+                            similar.append((data_type, value_l, ids_l, value_r, ids_r, weight))
+    return similar
 
 
 def event_set_similarity(a: EventSet, b: EventSet) -> float:
@@ -212,18 +270,19 @@ def event_set_similarity(a: EventSet, b: EventSet) -> float:
 
 
 def build_graph(events: list[Event], options: GraphOptions | None = None) -> CorrelationGraph:
-    options = options or GraphOptions()
+    """The graph of ``events``; its links and edges are built when first read."""
     nodes = {event.id: (event.kind, event.info) for event in events}
-    edges = exact_edges(events, cross_set_only=options.cross_set_only)
-    if options.fuzzy:
-        edges.extend(fuzzy_edges(events, options.threshold))
-        edges.sort()
-    return CorrelationGraph(nodes, edges)
+    return CorrelationGraph(nodes, events, options or GraphOptions())
 
 
 def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | None:
     """Shortest path by hop count; ties prefer the larger minimum edge weight
-    along the path, then the smaller node-id sequence. None when disconnected."""
+    along the path, then the smaller node-id sequence. None when disconnected.
+
+    The search runs over the graph's links, not its edges: a link side is a
+    tuple of events, and a node reaches every event of the side across each
+    of its links (the same side for an exact link), itself excepted.
+    """
     if start not in graph.nodes:
         raise ValueError(f"unknown event id {start}")
     if goal not in graph.nodes:
@@ -231,45 +290,79 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
     if start == goal:
         return [start]
 
-    weight: dict[tuple[int, int], float] = {}
-    adjacency: dict[int, set[int]] = {node: set() for node in graph.nodes}
-    for a, b, _, _, _, _, w in graph.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-        key = (a, b) if a < b else (b, a)
-        weight[key] = max(weight.get(key, 0.0), w)
+    # An exact link has one side, facing itself; a fuzzy link two, facing
+    # each other. on[node] lists the sides a node is on.
+    sides: list[tuple[int, ...]] = []
+    facing: list[int] = []
+    weights: list[float] = []
+    for kind, left, right, weight in graph.links:
+        if kind == EXACT:
+            facing.append(len(sides))
+            sides.append(left)
+            weights.append(weight)
+        else:
+            facing += [len(sides) + 1, len(sides)]
+            sides += [left, right]
+            weights += [weight, weight]
+    on: dict[int, list[int]] = {}
+    for side, members in enumerate(sides):
+        for node in members:
+            on.setdefault(node, []).append(side)
 
-    # Hop distances out from the goal, level by level, until the start.
+    # Hop distances out from the goal, level by level, until the start; each
+    # side is expanded once, by the first node to reach it.
     distance = {goal: 0}
     levels = [[goal]]
+    expanded: set[int] = set()
     while levels[-1] and start not in distance:
-        levels.append([])
-        for node in levels[-2]:
-            for neighbor in adjacency[node]:
-                if neighbor not in distance:
-                    distance[neighbor] = len(levels) - 1
-                    levels[-1].append(neighbor)
+        hops = len(levels)
+        level: list[int] = []
+        for node in levels[-1]:
+            for side in on.get(node, ()):
+                reached = facing[side]
+                if reached not in expanded:
+                    expanded.add(reached)
+                    for neighbor in sides[reached]:
+                        if neighbor not in distance:
+                            distance[neighbor] = hops
+                            level.append(neighbor)
+        levels.append(level)
     if start not in distance:
         return None
 
-    def closer(node: int) -> list[tuple[int, float]]:
-        """Neighbors one hop nearer the goal, with the link weight."""
-        return [
-            (n, weight[(node, n) if node < n else (n, node)])
-            for n in adjacency[node]
-            if distance.get(n) == distance[node] - 1
-        ]
-
-    # reach[v]: the best bottleneck weight from v to the goal over shortest paths.
+    # reach[v]: the best bottleneck weight from v to the goal over shortest
+    # paths. nearest[s] is the smallest distance among side s's events and
+    # best[s] their best reach, so a node one hop further reads it in O(1).
     reach = {goal: float("inf")}
-    for level in levels[1:]:
+    nearest: dict[int, int] = {}
+    best: dict[int, float] = {}
+    for hops, level in enumerate(levels):
         for node in level:
-            reach[node] = max(min(w, reach[n]) for n, w in closer(node))
+            if hops:
+                reach[node] = max(
+                    min(weights[side], best[facing[side]])
+                    for side in on[node]
+                    if nearest.get(facing[side]) == hops - 1
+                )
+            for side in on[node]:
+                if side not in nearest:
+                    nearest[side] = hops
+                    best[side] = reach[node]
+                elif nearest[side] == hops and reach[node] > best[side]:
+                    best[side] = reach[node]
 
     # Step to the smallest id that still keeps the start's best bottleneck.
+    target = reach[start]
     path = [start]
     while path[-1] != goal:
-        path.append(min(n for n, w in closer(path[-1]) if min(w, reach[n]) >= reach[start]))
+        hops = distance[path[-1]] - 1
+        path.append(min(
+            neighbor
+            for side in on[path[-1]]
+            if weights[side] >= target and nearest.get(facing[side]) == hops
+            for neighbor in sides[facing[side]]
+            if distance.get(neighbor) == hops and reach[neighbor] >= target
+        ))
     return path
 
 

@@ -9,8 +9,10 @@ incidents. Flagging is advisory; removal is the operator's call.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
+from itertools import combinations
 from pathlib import Path
 
 from .events import (
@@ -20,7 +22,6 @@ from .events import (
     HASH_TYPES,
     MALWARE,
     distinct_pairs,
-    jaccard,
 )
 
 
@@ -141,6 +142,12 @@ def contextual_noise_scores(dataset: list[EventSet], threshold: float = 0.7) -> 
     (k / K) * (1 - mean pairwise Jaccard similarity of those sets with the
     value itself excluded). A value shared by many mutually dissimilar sets
     scores near 1; a value confined to a single set scores 0.
+
+    Each set pair's Jaccard comes from counts, not from rebuilt sets: with
+    the value's pairs removed, |A'∩B'| = |A∩B| - t and |A'∪B'| =
+    (|A| - m_A) + (|B| - m_B) - |A'∩B'|, where t counts the (type, value)
+    pairs both sets hold and m_X those set X holds. |A∩B| is counted once
+    for every set pair sharing a (type, value), so each pair costs O(1).
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be within (0, 1], got {threshold}")
@@ -148,26 +155,36 @@ def contextual_noise_scores(dataset: list[EventSet], threshold: float = 0.7) -> 
         raise ValueError("need at least two event sets to score noise")
 
     set_pairs = [distinct_pairs(event_set) for event_set in dataset]
-    membership: dict[str, list[int]] = {}
-    for index, pairs in enumerate(set_pairs):
-        for _, value in pairs:
-            membership.setdefault(value, [])
-            if index not in membership[value]:
-                membership[value].append(index)
-
+    sizes = [len(pairs) for pairs in set_pairs]
     total = len(dataset)
+    holders: dict[tuple[str, str], list[int]] = {}
+    for index, pairs in enumerate(set_pairs):
+        for pair in pairs:
+            holders.setdefault(pair, []).append(index)
+    shared = [0] * (total * total)  # |A∩B| of sets i < j at i * total + j
+    by_value: dict[str, list[list[int]]] = {}
+    for (_, value), indices in holders.items():
+        by_value.setdefault(value, []).append(indices)
+        for i, j in combinations(indices, 2):
+            shared[i * total + j] += 1
+
     scores: dict[str, float] = {}
-    for value, indices in membership.items():
+    for value, owner_lists in by_value.items():
+        held = Counter(i for owners in owner_lists for i in owners)  # m_X
+        indices = sorted(held)
         k = len(indices)
         if k < 2:
             scores[value] = 0.0
             continue
-        reduced = [{p for p in set_pairs[i] if p[1] != value} for i in indices]
-        similarities = [
-            jaccard(reduced[i], reduced[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-        ]
+        # t per set pair; 1 for every pair when the value has a single type.
+        both = None
+        if len(owner_lists) > 1:
+            both = Counter(pair for owners in owner_lists for pair in combinations(owners, 2))
+        similarities = []
+        for i, j in combinations(indices, 2):
+            common = shared[i * total + j] - (1 if both is None else both[i, j])
+            union = sizes[i] - held[i] + sizes[j] - held[j] - common
+            similarities.append(common / union if union else 0.0)
         mean_similarity = sum(similarities) / len(similarities)
         scores[value] = (k / total) * (1.0 - mean_similarity)
 

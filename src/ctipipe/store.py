@@ -1,10 +1,12 @@
 """Event store: one JSON document per line, UTF-8.
 
 New event and attribute ids continue from the largest ids in the store, so
-ids stay unique across process restarts. Every commit replaces the whole file
-through a temp file, so a failed commit leaves the store as it was. A partial
-trailing line (a torn write) is tolerated on load and truncated away before
-the next write.
+ids stay unique across process restarts. Every commit but one replaces the
+whole file through a temp file, so a failed commit leaves the store as it
+was. The exception is :meth:`EventStore.append`, which writes its one line in
+place and truncates it away again if the write fails. A partial trailing line
+(a torn write) is tolerated on load and truncated away before the next write,
+so an appended event is stored whole or not at all.
 """
 
 from __future__ import annotations
@@ -111,8 +113,27 @@ class EventStore:
         return len(self._events)
 
     def append(self, event: Event) -> Event:
-        """Commit one event under the next ids and return the stored copy."""
-        return self.extend([event])[0]
+        """Commit one event under the next ids and return the stored copy.
+
+        Writes one line at the end of the file and fsyncs once; if that
+        fails, the file is truncated back to its old length.
+        """
+        [stored] = self._numbered(self._events, [event])
+        line = memoryview((json.dumps(event_to_document(stored)) + "\n").encode("utf-8"))
+        descriptor = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            length = os.lseek(descriptor, 0, os.SEEK_END)
+            try:
+                while line:
+                    line = line[os.write(descriptor, line):]
+                os.fsync(descriptor)
+            except BaseException:
+                os.ftruncate(descriptor, length)
+                raise
+        finally:
+            os.close(descriptor)
+        self._events.append(stored)
+        return stored
 
     def extend(self, events: list[Event]) -> list[Event]:
         """Commit ``events`` after the stored ones under the next ids, in one
@@ -125,6 +146,13 @@ class EventStore:
         return self._commit([], events)
 
     def _commit(self, kept: list[Event], events: list[Event]) -> list[Event]:
+        stored = self._numbered(kept, events)
+        self.rewrite(kept + stored)
+        return stored
+
+    @staticmethod
+    def _numbered(kept: list[Event], events: list[Event]) -> list[Event]:
+        """``events`` under the ids that follow the largest ids in ``kept``."""
         next_event_id = max((e.id for e in kept), default=0) + 1
         next_attribute_id = max((a.id for e in kept for a in e.attributes), default=0) + 1
         stored = []
@@ -136,14 +164,14 @@ class EventStore:
             next_attribute_id += len(attributes)
             stored.append(replace(event, id=next_event_id, attributes=attributes))
             next_event_id += 1
-        self.rewrite(kept + stored)
         return stored
 
     def rewrite(self, events: list[Event]) -> None:
         """Atomically replace the store content, keeping the given ids.
 
-        Every commit goes through here: :meth:`extend`, :meth:`rebuild` and
-        the filtering stage, which rewrites events rather than adding new ones.
+        Every commit but :meth:`append` goes through here: :meth:`extend`,
+        :meth:`rebuild` and the filtering stage, which rewrites events rather
+        than adding new ones.
         """
         atomic_write(self.path, (json.dumps(event_to_document(event)) + "\n" for event in events))
         self._events = list(events)

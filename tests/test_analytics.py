@@ -154,6 +154,25 @@ class TestCategoryPercentages:
         with pytest.raises(ValueError):
             category_percentages([], {})
 
+    def test_report_text_lowercased_once_per_set(self):
+        lowered = []
+
+        class CountingText(str):
+            def lower(self):
+                lowered.append(self)
+                return str.lower(self)
+
+        malware_values = ["c2.evil.net", "b.example.com", "a" * 32, "b" * 40, "Marker"]
+        event_set = make_event_set("r.pdf", ["p"], malware_values)
+        text = CountingText("saw C2.EVIL.NET, a Marker and " + "A" * 32)
+        counts = category_counts([event_set], {"r.pdf": text})
+        assert len(lowered) == 1
+        expected = {label: 0 for label in CategoryLabel}
+        for value in ["p", *malware_values]:
+            expected[classify_category(value, {"p"}, set(malware_values), str(text))] += 1
+        assert counts == expected
+        assert counts[CategoryLabel.MALWARE_IN_REPORT] == 3
+
     def test_missing_report_text_rejected(self):
         event_set = make_event_set("r.pdf", ["a"], ["b"])
         with pytest.raises(ValueError, match="no report text"):

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import socket
@@ -415,6 +417,73 @@ class TestGraphFiles:
         expected = DATA_DIR / "graphs" / f"{corpus}{name}"
         assert dot_path.read_bytes() == expected.with_suffix(".dot").read_bytes()
         assert json_path.read_bytes() == expected.with_suffix(".json").read_bytes()
+
+
+class _TornFile:
+    """A text file whose first write stores half its text and then fails
+    like a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+class TestOutputsCrashSafe:
+    """A write that fails part-way leaves the previous output file whole and
+    no temp file beside it."""
+
+    @pytest.fixture
+    def torn_writes(self, monkeypatch):
+        real_open = io.open
+
+        def open_torn(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornFile(handle) if "w" in mode and "b" not in mode else handle
+
+        return lambda: monkeypatch.setattr(io, "open", open_torn)
+
+    def previous(self, directory, names):
+        directory.mkdir(exist_ok=True)
+        for name in names:
+            (directory / name).write_text(f"previous {name}\n")
+
+    def assert_previous(self, directory, names):
+        assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+        for name in names:
+            assert (directory / name).read_text() == f"previous {name}\n"
+
+    def test_stats_csv(self, golden_config, tmp_path, torn_writes):
+        run(golden_config, "ingest")
+        names = ["summary.csv", "data_types.csv", "categories.csv"]
+        self.previous(tmp_path / "csv", names)
+        torn_writes()
+        assert run(golden_config, "stats", "--csv-dir", str(tmp_path / "csv")) == 2
+        self.assert_previous(tmp_path / "csv", names)
+
+    @pytest.mark.parametrize("flag", ["--dot", "--json"])
+    def test_correlate_graph_file(self, lazarus_config, tmp_path, torn_writes, flag):
+        run(lazarus_config, "ingest")
+        self.previous(tmp_path / "out", ["graph"])
+        torn_writes()
+        assert run(lazarus_config, "correlate", flag, str(tmp_path / "out" / "graph")) == 2
+        self.assert_previous(tmp_path / "out", ["graph"])
 
 
 class TestExport:

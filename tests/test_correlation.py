@@ -15,6 +15,7 @@ from ctipipe.correlation import (
     CorrelationGraph,
     Edge,
     GraphOptions,
+    Link,
     build_graph,
     canonical_name,
     event_set_similarity,
@@ -449,9 +450,52 @@ class TestEventSetSimilarity:
 
 
 def weighted_graph(nodes, links):
-    """A graph with one fuzzy edge per (a, b, weight) link."""
-    edges = [Edge(min(a, b), max(a, b), FUZZY, "other", f"v{a}", f"v{b}", w) for a, b, w in links]
-    return CorrelationGraph({node: (REPORT, f"e{node}") for node in nodes}, sorted(edges))
+    """A graph with one fuzzy link per (a, b, weight) link."""
+    graph = CorrelationGraph({node: (REPORT, f"e{node}") for node in nodes})
+    graph.links = [Link(FUZZY, (a,), (b,), w) for a, b, w in links]
+    return graph
+
+
+def edge_list_path(graph, start, goal):
+    """find_path as it ran over the edge list before links: the oracle for
+    the link search. Adjacency and the heaviest weight per pair come from
+    graph.edges."""
+    if start == goal:
+        return [start]
+    weight = {}
+    adjacency = {node: set() for node in graph.nodes}
+    for a, b, _, _, _, _, w in graph.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+        weight[a, b] = max(weight.get((a, b), 0.0), w)
+
+    distance = {goal: 0}
+    levels = [[goal]]
+    while levels[-1] and start not in distance:
+        levels.append([])
+        for node in levels[-2]:
+            for neighbor in adjacency[node]:
+                if neighbor not in distance:
+                    distance[neighbor] = len(levels) - 1
+                    levels[-1].append(neighbor)
+    if start not in distance:
+        return None
+
+    def closer(node):
+        return [
+            (n, weight[(node, n) if node < n else (n, node)])
+            for n in adjacency[node]
+            if distance.get(n) == distance[node] - 1
+        ]
+
+    reach = {goal: float("inf")}
+    for level in levels[1:]:
+        for node in level:
+            reach[node] = max(min(w, reach[n]) for n, w in closer(node))
+    path = [start]
+    while path[-1] != goal:
+        path.append(min(n for n, w in closer(path[-1]) if min(w, reach[n]) >= reach[start]))
+    return path
 
 
 def brute_force_path(links, start, goal):
@@ -573,6 +617,68 @@ class TestPaths:
                 assert len(path) - 1 == distances[goal]
                 for a, b in zip(path, path[1:]):
                     assert b in adjacency.get(a, set())
+
+
+class TestLinkSearch:
+    """The link search against the edge-list search it replaced, and the
+    link-derived edge count against the edge list."""
+
+    options = st.one_of(
+        st.builds(GraphOptions, cross_set_only=st.booleans()),
+        st.builds(GraphOptions, fuzzy=st.just(True), threshold=st.sampled_from([0.5, 0.8, 1.0]),
+                  cross_set_only=st.booleans()),
+    )
+
+    @given(_graph_events, options)
+    @settings(max_examples=300)
+    def test_matches_edge_list_search(self, events, options):
+        graph = build_graph(events, options)
+        for start, goal in itertools.product(graph.nodes, repeat=2):
+            assert find_path(graph, start, goal) == edge_list_path(graph, start, goal), (start, goal)
+
+    @given(_graph_events, options)
+    @settings(max_examples=300)
+    def test_edge_count_matches_edge_list(self, events, options):
+        graph = build_graph(events, options)
+        assert graph.edge_count() == len(graph.edges)
+
+    def test_matches_edge_list_search_on_random_links(self):
+        # Links drawn directly, with sides of several events and mixed
+        # weights, so one side can hold events of different reach.
+        rng = random.Random(43)
+        for _ in range(300):
+            nodes = rng.sample(range(1, 30), rng.randint(2, 8))
+            graph = CorrelationGraph({node: (REPORT, f"e{node}") for node in nodes})
+            graph.links = []
+            for _ in range(rng.randint(1, 6)):
+                weight = rng.choice([0.5, 0.8, 0.9, 1.0])
+                left = tuple(rng.sample(nodes, rng.randint(1, min(4, len(nodes)))))
+                if rng.random() < 0.4:
+                    graph.links.append(Link(EXACT, left, left, weight))
+                else:
+                    right = tuple(rng.sample(nodes, rng.randint(1, min(4, len(nodes)))))
+                    graph.links.append(Link(FUZZY, left, right, weight))
+            oracle = CorrelationGraph(graph.nodes)
+            oracle.edges = sorted(
+                Edge(min(a, b), max(a, b), kind, "other", "", "", weight)
+                for kind, left, right, weight in graph.links
+                for a in left
+                for b in right
+                if a != b
+            )
+            for start, goal in itertools.product(nodes, repeat=2):
+                assert find_path(graph, start, goal) == edge_list_path(oracle, start, goal), (graph.links, start, goal)
+
+    def test_shared_value_is_one_clique(self):
+        events = [event(i, [("ip-src", "7.7.7.7")]) for i in (1, 2, 3)]
+        graph = build_graph(events)
+        assert graph.links == [Link(EXACT, (1, 2, 3), (1, 2, 3), 1.0)]
+        assert graph.edge_count() == 3
+
+    def test_path_query_builds_no_edges(self):
+        graph = build_graph(TestPaths().lazarus_events())
+        assert find_path(graph, 1, 3) == [1, 2, 3]
+        assert "edges" not in vars(graph)
 
 
 class TestTimeline:

@@ -2,12 +2,15 @@ import datetime as dt
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT
+from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT, distinct_pairs, jaccard
 from ctipipe.filtering import (
     DEFAULT_DENYLIST,
     DenyRule,
     DenylistError,
+    NoiseReport,
     apply_denylist,
     contextual_noise_scores,
     dedup_attributes,
@@ -198,7 +201,90 @@ def naive_noise_scores(dataset):
     return scores
 
 
+def pairwise_noise_scores(dataset, threshold):
+    """contextual_noise_scores as it was before counting intersections: a
+    reduced pair set and a Jaccard per pair of sets holding the value. The
+    oracle for the counted version, summed in the same order."""
+    set_pairs = [distinct_pairs(event_set) for event_set in dataset]
+    membership = {}
+    for index, pairs in enumerate(set_pairs):
+        for _, value in pairs:
+            membership.setdefault(value, [])
+            if index not in membership[value]:
+                membership[value].append(index)
+
+    total = len(dataset)
+    scores = {}
+    for value, indices in membership.items():
+        k = len(indices)
+        if k < 2:
+            scores[value] = 0.0
+            continue
+        reduced = [{p for p in set_pairs[i] if p[1] != value} for i in indices]
+        similarities = [
+            jaccard(reduced[i], reduced[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+        ]
+        mean_similarity = sum(similarities) / len(similarities)
+        scores[value] = (k / total) * (1.0 - mean_similarity)
+
+    flagged = {value for value, score in scores.items() if score >= threshold}
+    return NoiseReport(scores, threshold, flagged)
+
+
+# Event sets over a small vocabulary, so values recur across sets and types:
+# "everywhere" sits in every set, under a type each set draws, and malware
+# events add pairs of their own plus a back-link.
+_noise_types = st.sampled_from(["other", "filename", "hostname", "md5"])
+_noise_pairs = st.lists(st.tuples(_noise_types, st.sampled_from(["a", "b", "c", "d", "e", "f"])), max_size=6)
+
+
+@st.composite
+def _noise_dataset(draw):
+    sets = []
+    for index in range(draw(st.integers(2, 7))):
+        title = f"set_{index}.pdf"
+        pairs = draw(_noise_pairs) + [(draw(_noise_types), "everywhere")]
+        report = Event(index * 10, DATE, title, REPORT,
+                       [Attribute("Other", "", value, type_token) for type_token, value in pairs])
+        malware = [
+            Event(index * 10 + m, DATE, "a" * 32, MALWARE,
+                  [Attribute("Other", "", value, type_token) for type_token, value in extra]
+                  + [Attribute("Other", "", title, "comment")])
+            for m, extra in enumerate(draw(st.lists(_noise_pairs, max_size=2)), start=1)
+        ]
+        sets.append(EventSet(title, report, malware))
+    return sets
+
+
 class TestNoiseScores:
+    @given(_noise_dataset(), st.floats(0.01, 1.0))
+    @settings(max_examples=400)
+    def test_matches_pairwise_oracle_exactly(self, sets, threshold):
+        report = contextual_noise_scores(sets, threshold)
+        expected = pairwise_noise_scores(sets, threshold)
+        assert report.scores == expected.scores
+        assert report.flagged == expected.flagged
+
+    def test_value_under_several_types(self):
+        # "x" is a filename in sets 0 and 1 but also "other" in set 1 and 2:
+        # removing it drops two pairs from set 1.
+        sets = [
+            event_set(0, ["x", "p"], "filename"),
+            EventSet("set_1.pdf", Event(1, DATE, "set_1.pdf", REPORT, [
+                Attribute("Other", "", "x", "filename"),
+                Attribute("Other", "", "x", "other"),
+                Attribute("Other", "", "p", "filename"),
+            ])),
+            event_set(2, ["x", "q"]),
+        ]
+        report = contextual_noise_scores(sets)
+        assert report.scores == pairwise_noise_scores(sets, 0.7).scores
+        # set pairs (0,1): {p}/{p} = 1; (0,2) and (1,2): 0. Mean 1/3, k = 3 of 3.
+        assert report.scores["x"] == pytest.approx(2 / 3)
+
+
     def test_value_in_all_disjoint_sets_scores_one(self):
         sets = [event_set(i, [f"unique_{i}_{j}" for j in range(3)] + ["shared"]) for i in range(5)]
         report = contextual_noise_scores(sets, threshold=0.7)

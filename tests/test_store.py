@@ -212,3 +212,43 @@ class TestAtomicWrite:
         assert [e.id for e in rebuilt] == [1, 2]
         assert [a.id for e in rebuilt for a in e.attributes] == [1, 2]
         assert load_all(path) == rebuilt == store.events()
+
+
+class TestInPlaceAppend:
+    def test_append_writes_one_line_with_one_fsync(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.jsonl"
+        store = EventStore(path)
+        store.extend([simple_event("r0.pdf"), simple_event("r1.pdf")])
+        before = path.read_bytes()
+        inode = path.stat().st_ino
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda descriptor: fsyncs.append(real_fsync(descriptor)))
+        appended = store.append(simple_event("r2.pdf"))
+        assert len(fsyncs) == 1
+        assert path.stat().st_ino == inode  # written in place, not replaced
+        line = json.dumps(event_to_document(appended)) + "\n"
+        assert path.read_bytes() == before + line.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_failed_append_truncates_back(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "events.jsonl"
+        store = EventStore(path)
+        store.append(simple_event("r0.pdf"))
+        before = path.read_bytes()
+        real_write = os.write
+
+        def torn_write(descriptor, data):
+            real_write(descriptor, bytes(data[: len(data) // 2]))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "write" if fail_at == "write" else "fsync",
+                            torn_write if fail_at == "write" else failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            store.append(simple_event("r1.pdf"))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert len(store) == 1
+        assert store.append(simple_event("r2.pdf")).id == 2
+        assert load_all(path) == store.events()
