@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .providers import AnalysisProvider, FixtureProvider, HttpProvider
 
@@ -54,10 +55,13 @@ class PipelineConfig:
             raise ConfigError(f"retry_count must be >= 0, got {self.retry_count}")
         if self.max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.provider_live is not None and not 0.0 < self.provider_live.rate_limit < math.inf:
-            raise ConfigError(
-                f"provider.rate_limit must be finite and > 0, got {self.provider_live.rate_limit}"
-            )
+        live = self.provider_live
+        if live is not None:
+            if not 0.0 < live.rate_limit < math.inf:
+                raise ConfigError(f"provider.rate_limit must be finite and > 0, got {live.rate_limit}")
+            url = urlsplit(live.base_url)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ConfigError(f"provider.base_url must be an http(s) URL with a host, got {live.base_url!r}")
 
     def make_provider(self) -> AnalysisProvider:
         if self.provider_fixture is not None:
@@ -130,7 +134,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     elif isinstance(provider, dict):
         try:
             provider_live = LiveProviderConfig(
-                base_url=provider["base_url"],
+                base_url=str(provider["base_url"]),
                 api_key_env=provider["api_key_env"],
                 rate_limit=_as_number(provider, "rate_limit", 4.0),
             )

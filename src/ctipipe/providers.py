@@ -7,16 +7,17 @@ provider targets a live repository with the same document schema.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 log = logging.getLogger(__name__)
 
@@ -73,7 +74,7 @@ class FixtureProvider:
 
 class HttpProvider:
     """Hash lookup against a live repository; the API key is only ever read
-    from the named environment variable."""
+    from the named environment variable and never follows a redirect."""
 
     def __init__(self, base_url: str, api_key_env: str, rate_limit: float = 4.0):
         api_key = os.environ.get(api_key_env, "")
@@ -83,8 +84,7 @@ class HttpProvider:
         self._min_interval = 1.0 / rate_limit if rate_limit > 0 else 0.0
         self._last_request = 0.0
         self._lock = threading.Lock()
-        self._session = requests.Session()
-        self._session.headers["Authorization"] = f"Bearer {api_key}"
+        self._authorization = f"Bearer {api_key}"
 
     def _throttle(self) -> None:
         with self._lock:
@@ -96,17 +96,22 @@ class HttpProvider:
     def fetch(self, hash_value: str) -> dict | None:
         self._throttle()
         url = f"{self.base_url}/{hash_value.lower()}"
+        request = urllib.request.Request(url)
+        request.add_unredirected_header("Authorization", self._authorization)
         try:
-            response = self._session.get(url, timeout=REQUEST_TIMEOUT)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT) as response:
+                status, headers, body = response.status, response.headers, response.read()
+        except urllib.error.HTTPError as exc:
+            status, headers, body = exc.code, exc.headers, b""
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderError(f"request to {url} failed: {exc}") from exc
-        if response.status_code == 404:
+        if status == 404:
             return None
-        if response.status_code != 200:
-            header = response.headers.get("Retry-After") if response.status_code in (429, 503) else None
-            raise ProviderError(f"{url} returned HTTP {response.status_code}", _retry_after_seconds(header))
+        if status != 200:
+            header = headers.get("Retry-After") if status in (429, 503) else None
+            raise ProviderError(f"{url} returned HTTP {status}", _retry_after_seconds(header))
         try:
-            return response.json()
+            return json.loads(body)
         except ValueError as exc:
             raise AnalysisDataError("document", f"response is not JSON: {exc}") from exc
 

@@ -67,9 +67,15 @@ def _read_store(path: Path) -> tuple[list[Event], int]:
 
 def atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Replace ``path`` with ``chunks`` via a fsynced temp file renamed over
-    it; on any failure the old file stays and the temp file is removed."""
+    it; on any failure the old file stays and the temp file is removed. The
+    file keeps its mode, or gets ``open()``'s (0o666 less the umask) if new."""
     descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
+        if path.exists():
+            os.chmod(temp_name, path.stat().st_mode & 0o7777)
+        else:
+            os.umask(umask := os.umask(0))  # read the umask, leaving it as it was
+            os.chmod(temp_name, 0o666 & ~umask)
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
             handle.flush()

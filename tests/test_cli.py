@@ -96,15 +96,29 @@ def closed_port():
         return sock.getsockname()[1]
 
 
+def run_python(*arguments):
+    """A fresh interpreter with this checkout's ``src`` first on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *arguments], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestUsage:
     def test_module_entry_point(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "ctipipe", "--help"], env=env, capture_output=True, text=True, timeout=60
-        )
+        result = run_python("-m", "ctipipe", "--help")
         assert result.returncode == 0, result.stderr
         assert "ingest" in result.stdout
+
+    def test_cli_imports_only_the_standard_library(self):
+        # The difference, because site may already have loaded packages from .pth files.
+        result = run_python("-c", (
+            "import sys; before = set(sys.modules); import ctipipe.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
+        ))
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        assert "ctipipe" in loaded
+        assert [name for name in loaded if name not in sys.stdlib_module_names and name != "ctipipe"] == []
 
     def test_missing_config(self, tmp_path, capsys):
         code = run_command(["-c", str(tmp_path / "nope.conf"), "ingest"])

@@ -13,7 +13,13 @@ def write(tmp_path, text, name="pipeline.conf"):
 
 
 BASE = "reports_dir = reports\nstore_path = events.jsonl\n"
-LIVE = "provider.base_url = https://analysis.example.com/api\nprovider.api_key_env = ANALYSIS_KEY\n"
+
+
+def live(url):
+    return f"provider.base_url = {url}\nprovider.api_key_env = ANALYSIS_KEY\n"
+
+
+LIVE = live("https://analysis.example.com/api")
 
 
 class TestKeyValueFormat:
@@ -87,6 +93,10 @@ class TestKeyValueFormat:
         pytest.param(LIVE + "provider.rate_limit = fast", id="provider.rate_limit = fast"),
         pytest.param(LIVE + "provider.rate_limit = nan", id="provider.rate_limit = nan"),
         pytest.param(LIVE + "provider.rate_limit = inf", id="provider.rate_limit = inf"),
+        pytest.param(live("file:///tmp/analyses"), id="provider.base_url = file:"),
+        pytest.param(live("ftp://analysis.example.com/api"), id="provider.base_url = ftp:"),
+        pytest.param(live("analysis.example/api"), id="provider.base_url without scheme"),
+        pytest.param(live("https:///api"), id="provider.base_url without host"),
     ])
     def test_invariants_enforced(self, tmp_path, line):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import logging
 import random
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -316,8 +317,8 @@ class TestRecordToAttributes:
 @pytest.fixture
 def scripted_server():
     """A loopback HTTP server answering GETs with the given (status, headers,
-    body) responses in turn; yields a factory returning its base URL and the
-    monotonic arrival time of each request."""
+    body) responses in turn; yields a factory returning its base URL and, per
+    request, its monotonic arrival time and its headers."""
     servers = []
 
     def start(responses):
@@ -326,7 +327,7 @@ def scripted_server():
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):
-                arrivals.append(time.monotonic())
+                arrivals.append((time.monotonic(), self.headers))
                 status, headers, body = next(script)
                 self.send_response(status)
                 for name, value in headers.items():
@@ -352,6 +353,44 @@ def scripted_server():
         assert not thread.is_alive()
 
 
+@pytest.fixture
+def raw_server():
+    """A loopback TCP server that reads each request's head, sends the given
+    raw bytes and closes the connection; yields a factory returning its base
+    URL."""
+    stop = threading.Event()
+    threads = []
+
+    def start(reply):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+
+        def serve():
+            with listener:
+                while not stop.is_set():
+                    try:
+                        connection, _ = listener.accept()
+                    except TimeoutError:
+                        continue
+                    with connection:
+                        connection.settimeout(5)
+                        head = b""
+                        while b"\r\n\r\n" not in head and (chunk := connection.recv(4096)):
+                            head += chunk
+                        connection.sendall(reply)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+        return f"http://127.0.0.1:{listener.getsockname()[1]}/api"
+
+    yield start
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 class TestProviders:
     def test_fixture_provider_invalid_json(self, tmp_path):
         (tmp_path / f"{A}.json").write_text("{broken", encoding="utf-8")
@@ -368,6 +407,7 @@ class TestProviders:
         (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),
         (503, "-1", None),
         (500, "5", None),
+        (204, None, None),
     ])
     def test_http_provider_reads_retry_after(self, scripted_server, monkeypatch, status, header, expected):
         monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
@@ -384,7 +424,42 @@ class TestProviders:
         result = enrich_transitively({A}, provider, 1, retries=1, backoff=0, max_workers=1)
         assert result.records[A].filenames == ["late.exe"]
         assert len(arrivals) == 2
-        assert arrivals[1] - arrivals[0] >= 0.2
+        assert arrivals[1][0] - arrivals[0][0] >= 0.2
+
+    def test_http_provider_sends_bearer_key(self, scripted_server, monkeypatch):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        url, arrivals = scripted_server([(200, {}, json.dumps({"md5": A}).encode())])
+        assert HttpProvider(url, "CTIPIPE_TEST_KEY", rate_limit=1000).fetch(A.upper()) == {"md5": A}
+        assert [headers["Authorization"] for _, headers in arrivals] == ["Bearer sekrit"]
+
+    def test_http_provider_unknown_hash(self, scripted_server, monkeypatch):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        url, _ = scripted_server([(404, {}, b"not found")])
+        assert HttpProvider(url, "CTIPIPE_TEST_KEY", rate_limit=1000).fetch(A) is None
+
+    def test_http_provider_non_json_body(self, scripted_server, monkeypatch):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        url, _ = scripted_server([(200, {}, b"<html>busy</html>")])
+        with pytest.raises(AnalysisDataError, match="not JSON"):
+            HttpProvider(url, "CTIPIPE_TEST_KEY", rate_limit=1000).fetch(A)
+
+    @pytest.mark.parametrize("reply", [
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"md5\": ", id="truncated-body"),
+        pytest.param(b"garbage\r\n\r\n", id="garbage-status-line"),
+        pytest.param(b"", id="closed-without-reply"),
+    ])
+    def test_http_provider_transport_failure(self, raw_server, monkeypatch, reply):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        with pytest.raises(ProviderError, match="failed"):
+            HttpProvider(raw_server(reply), "CTIPIPE_TEST_KEY", rate_limit=1000).fetch(A)
+
+    def test_http_provider_keeps_key_from_redirect_target(self, scripted_server, monkeypatch):
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        target, target_arrivals = scripted_server([(200, {}, json.dumps({"md5": A}).encode())])
+        origin, origin_arrivals = scripted_server([(302, {"Location": f"{target}/{A}"}, b"")])
+        assert HttpProvider(origin, "CTIPIPE_TEST_KEY", rate_limit=1000).fetch(A) == {"md5": A}
+        assert [headers["Authorization"] for _, headers in origin_arrivals] == ["Bearer sekrit"]
+        assert [headers["Authorization"] for _, headers in target_arrivals] == [None]
 
     def test_http_provider_requires_key(self, monkeypatch):
         monkeypatch.delenv("CTIPIPE_TEST_KEY", raising=False)

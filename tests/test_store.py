@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import os
 import random
+import stat
 
 import pytest
 
@@ -179,6 +180,24 @@ class TestAtomicWrite:
             atomic_write(path, ["new\n"])
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            atomic_write(tmp_path / "graph.json", ["{}\n"])
+            (tmp_path / "opened.json").write_text("{}\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "graph.json").stat().st_mode) == 0o640
+        assert (tmp_path / "graph.json").stat().st_mode == (tmp_path / "opened.json").stat().st_mode
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("old\n")
+        path.chmod(0o604)
+        atomic_write(path, ["new\n"])
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
 
     def test_failed_extend_keeps_store(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
