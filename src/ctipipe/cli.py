@@ -227,9 +227,9 @@ def _cmd_correlate(config: PipelineConfig, args) -> int:
         else:
             print(" -> ".join(f"{node}:{graph.nodes[node][1]}" for node in path))
     if args.dot:
-        atomic_write(Path(args.dot), [graph_to_dot(graph)])
+        atomic_write(Path(args.dot), graph_to_dot(graph))
     if args.json_out:
-        atomic_write(Path(args.json_out), [json.dumps(graph_to_json(graph), indent=2) + "\n"])
+        atomic_write(Path(args.json_out), graph_to_json(graph))
     return 0
 
 

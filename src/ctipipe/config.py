@@ -59,7 +59,10 @@ class PipelineConfig:
         if live is not None:
             if not 0.0 < live.rate_limit < math.inf:
                 raise ConfigError(f"provider.rate_limit must be finite and > 0, got {live.rate_limit}")
-            url = urlsplit(live.base_url)
+            try:
+                url = urlsplit(live.base_url)
+            except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+                raise ConfigError(f"provider.base_url is not a valid URL: {exc}, got {live.base_url!r}") from exc
             if url.scheme not in ("http", "https") or not url.hostname:
                 raise ConfigError(f"provider.base_url must be an http(s) URL with a host, got {live.base_url!r}")
 

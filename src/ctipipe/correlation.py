@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .events import Event, EventSet, distinct_pairs, is_back_link, jaccard
 
@@ -378,26 +379,42 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def graph_to_dot(graph: CorrelationGraph) -> str:
-    lines = ["graph correlation {"]
+def graph_to_dot(graph: CorrelationGraph) -> Iterator[str]:
+    """The graph in DOT, one line per chunk."""
+    yield "graph correlation {\n"
     for node_id in sorted(graph.nodes):
         kind, info = graph.nodes[node_id]
-        lines.append(f'  {node_id} [label="{_dot_escape(info)}" kind="{kind}"];')
+        yield f'  {node_id} [label="{_dot_escape(info)}" kind="{kind}"];\n'
     for edge in graph.edges:
         if edge.kind == EXACT:
             label = f"{edge.data_type}={edge.value_a}"
         else:
             label = f"{edge.data_type}≈{edge.weight:.3f}"
-        lines.append(f'  {edge.a} -- {edge.b} [label="{_dot_escape(label)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {edge.a} -- {edge.b} [label="{_dot_escape(label)}"];\n'
+    yield "}\n"
 
 
-def graph_to_json(graph: CorrelationGraph) -> dict:
-    return {
-        "nodes": [
-            {"id": node_id, "kind": kind, "info": info}
-            for node_id, (kind, info) in sorted(graph.nodes.items())
-        ],
-        "edges": [dict(zip(Edge._fields, edge)) for edge in graph.edges],
-    }
+def graph_to_json(graph: CorrelationGraph) -> Iterator[str]:
+    """The graph as ``json.dumps(..., indent=2) + "\\n"`` of ``{"nodes":
+    [{id, kind, info}], "edges": [Edge fields]}``, byte for byte, one node or
+    edge per chunk, so no dict per edge and no whole document is held.
+    Strings are escaped as ``json.dumps`` escapes them (ASCII only) and
+    numbers written with ``repr``, as ``json.dumps`` writes them."""
+    yield '{\n  "nodes": ['
+    separator = "\n"
+    for node_id, (kind, info) in sorted(graph.nodes.items()):
+        yield (
+            f'{separator}    {{\n      "id": {node_id!r},\n      "kind": {_json_string(kind)},'
+            f'\n      "info": {_json_string(info)}\n    }}'
+        )
+        separator = ",\n"
+    yield '\n  ],\n  "edges": [' if graph.nodes else '],\n  "edges": ['
+    separator = "\n"
+    for a, b, kind, data_type, value_a, value_b, weight in graph.edges:
+        yield (
+            f'{separator}    {{\n      "a": {a!r},\n      "b": {b!r},\n      "kind": {_json_string(kind)},'
+            f'\n      "data_type": {_json_string(data_type)},\n      "value_a": {_json_string(value_a)},'
+            f'\n      "value_b": {_json_string(value_b)},\n      "weight": {weight!r}\n    }}'
+        )
+        separator = ",\n"
+    yield "\n  ]\n}\n" if graph.edges else "]\n}\n"

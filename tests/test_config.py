@@ -97,6 +97,7 @@ class TestKeyValueFormat:
         pytest.param(live("ftp://analysis.example.com/api"), id="provider.base_url = ftp:"),
         pytest.param(live("analysis.example/api"), id="provider.base_url without scheme"),
         pytest.param(live("https:///api"), id="provider.base_url without host"),
+        pytest.param(live("http://[::1/api"), id="provider.base_url with an unclosed IPv6 bracket"),
     ])
     def test_invariants_enforced(self, tmp_path, line):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import datetime as dt
 import itertools
 import json
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -30,7 +31,7 @@ from ctipipe.correlation import (
     temporal_timeline,
 )
 from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT
-from ctipipe.store import load_all
+from ctipipe.store import atomic_write, load_all
 
 from conftest import DATA_DIR, random_event
 
@@ -97,7 +98,8 @@ def pairwise_fuzzy_edges(events, threshold):
 
 
 # The edge order and JSON shape as they were spelled out before Edge became a
-# named tuple: the oracles for the plain sorts and for graph_to_json's zip.
+# named tuple, and the DOT and JSON text as it was built whole before it was
+# streamed: the oracles for the plain sorts and for graph_to_json/graph_to_dot.
 def old_edge_key(e):
     """The sort key of exact_edges and of fuzzy_edges."""
     return (e.a, e.b, e.data_type, e.value_a, e.value_b)
@@ -127,6 +129,29 @@ def old_graph_to_json(graph):
             for e in graph.edges
         ],
     }
+
+
+def old_graph_json_text(graph):
+    return json.dumps(old_graph_to_json(graph), indent=2) + "\n"
+
+
+def old_dot_escape(text):
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def old_graph_to_dot(graph):
+    lines = ["graph correlation {"]
+    for node_id in sorted(graph.nodes):
+        kind, info = graph.nodes[node_id]
+        lines.append(f'  {node_id} [label="{old_dot_escape(info)}" kind="{kind}"];')
+    for edge in graph.edges:
+        if edge.kind == EXACT:
+            label = f"{edge.data_type}={edge.value_a}"
+        else:
+            label = f"{edge.data_type}≈{edge.weight:.3f}"
+        lines.append(f'  {edge.a} -- {edge.b} [label="{old_dot_escape(label)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # Name-like values whose canonical forms collide often: empty ones ("", ".exe",
@@ -407,7 +432,8 @@ class TestEdgeOrder:
         graph = build_graph(events, options)
         assert graph.edges == sorted(edges[::-1], key=old_graph_key)
         # Compared as text: JSON output depends on key order, dict equality does not.
-        assert json.dumps(graph_to_json(graph), indent=2) == json.dumps(old_graph_to_json(graph), indent=2)
+        assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
+        assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
 
     def test_edge_equals_plain_tuple(self):
         edge = Edge(1, 2, EXACT, "other", "x", "x", 1.0)
@@ -703,7 +729,7 @@ class TestExports:
             event(1, [("filename", "zhcat.exe")], info='report "one".pdf'),
             event(2, [("filename", "zhcat.exe")], info="a" * 32, kind=MALWARE),
         ])
-        dot = graph_to_dot(graph)
+        dot = "".join(graph_to_dot(graph))
         assert dot.startswith("graph correlation {")
         assert '1 -- 2 [label="filename=zhcat.exe"];' in dot
         assert '\\"one\\"' in dot  # quotes escaped
@@ -713,13 +739,90 @@ class TestExports:
             [event(1, [("hostname", "bartsimpson.com")]), event(2, [("hostname", "bsimpson.net")])],
             GraphOptions(fuzzy=True),
         )
-        assert "hostname\u22480.842" in graph_to_dot(graph)
+        assert "hostname\u22480.842" in "".join(graph_to_dot(graph))
 
     def test_json_mirror(self):
         events = [event(1, [("other", "x")]), event(2, [("other", "x")])]
-        payload = graph_to_json(build_graph(events))
+        graph = build_graph(events)
+        text = "".join(graph_to_json(graph))
+        assert text == old_graph_json_text(graph)
+        payload = json.loads(text)
         assert [node["id"] for node in payload["nodes"]] == [1, 2]
         assert payload["edges"][0] == {
             "a": 1, "b": 2, "kind": "exact", "data_type": "other",
             "value_a": "x", "value_b": "x", "weight": 1.0,
         }
+
+
+# Text that json.dumps and DOT escaping treat specially: quotes, backslashes,
+# control characters, non-ASCII (astral too), U+2028/U+2029 and lone surrogates.
+_awkward_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "≈", "\u2028", "\u2029",
+                         "\ud800", "\udfff", "\U0001f600"]),
+        st.characters(codec=None, exclude_categories=()),
+    ),
+    max_size=12,
+)
+_weights = st.one_of(
+    st.floats(0.0, 1.0).map(lambda w: round(w, 9)),
+    st.sampled_from([1.0, 0.842105263, 0.123456789, 0.5, 1e-09]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _graph_with(nodes, edges):
+    graph = CorrelationGraph(nodes)
+    graph.edges = edges
+    return graph
+
+
+_streamed_graphs = st.builds(
+    _graph_with,
+    st.dictionaries(st.integers(-5, 10**6), st.tuples(_awkward_text, _awkward_text), max_size=6),
+    st.lists(
+        st.builds(
+            Edge,
+            st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([EXACT, FUZZY]),
+            _awkward_text, _awkward_text, _awkward_text, _weights,
+        ),
+        max_size=6,
+    ),
+)
+
+
+class TestStreamedText:
+    """graph_to_json and graph_to_dot yield the text the whole-document
+    builders produced, byte for byte."""
+
+    @given(_streamed_graphs)
+    @settings(max_examples=150)
+    def test_matches_whole_document_oracles(self, graph):
+        assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
+        assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
+
+    @pytest.mark.parametrize("nodes, edges", [
+        pytest.param({}, [], id="no nodes"),
+        pytest.param({3: (REPORT, "a.pdf"), 1: (MALWARE, "ab" * 16)}, [], id="nodes without edges"),
+        pytest.param({}, [Edge(1, 2, FUZZY, "hostname", "a ", '"b\\', 0.842105263)], id="edges without nodes"),
+    ])
+    def test_empty_lists(self, nodes, edges):
+        graph = _graph_with(nodes, edges)
+        assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
+        assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
+
+    def test_streams_in_bounded_memory(self, tmp_path):
+        # 317 events sharing one value: C(317, 2) = 50 086 exact edges. The
+        # edge list is built before tracing; writing the file then holds a
+        # chunk at a time, not a dict per edge or the whole text.
+        graph = build_graph([event(event_id, [("other", "shared")]) for event_id in range(1, 318)])
+        assert len(graph.edges) == 50_086
+        path = tmp_path / "graph.json"
+        tracemalloc.start()
+        try:
+            atomic_write(path, graph_to_json(graph))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_text(encoding="utf-8") == old_graph_json_text(graph)
+        assert peak < path.stat().st_size / 10

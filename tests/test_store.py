@@ -181,6 +181,20 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_raising_chunks_keep_old_file(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_bytes(b"old\xc3\xa9\n")
+
+        def chunks():
+            for index in range(3):
+                yield f"chunk {index}\n" * 4096  # more than one buffer reaches the temp file
+            raise ValueError("encoder failed")
+
+        with pytest.raises(ValueError, match="encoder failed"):
+            atomic_write(path, chunks())
+        assert path.read_bytes() == b"old\xc3\xa9\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_new_file_gets_the_umask_mode(self, tmp_path):
         previous = os.umask(0o027)
         try:
