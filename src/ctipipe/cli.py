@@ -101,12 +101,17 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
         )
     events = []
     indicator_count = 0
+    titled: dict[str, Path] = {}  # title -> the .meta file that gave it
     for text_path in reports:
         meta, normalized = _read_report(text_path, config)
+        meta_path = text_path.with_suffix(".meta")
+        if meta["title"] in titled:
+            raise StoreError(f"{meta_path}: title {meta['title']!r} is already used by {titled[meta['title']]}")
+        titled[meta["title"]] = meta_path
         try:
             publication_date = dt.date.fromisoformat(meta["date"])
         except ValueError as exc:
-            raise StoreError(f"{text_path.with_suffix('.meta')}: {exc}") from exc
+            raise StoreError(f"{meta_path}: {exc}") from exc
         indicators = extract_indicators(normalized, text_path.name, config.extensions)
         events.append(build_report_event(meta["title"], publication_date, indicators))
         indicator_count += len(indicators)

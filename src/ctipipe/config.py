@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from .extraction import _filename_pattern
 from .providers import AnalysisProvider, FixtureProvider, HttpProvider
 
 
@@ -55,6 +56,11 @@ class PipelineConfig:
             raise ConfigError(f"retry_count must be >= 0, got {self.retry_count}")
         if self.max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
+        if self.extensions is not None:
+            try:
+                _filename_pattern(self.extensions)
+            except ValueError as exc:
+                raise ConfigError(f"extensions: {exc}") from exc
         live = self.provider_live
         if live is not None:
             if not 0.0 < live.rate_limit < math.inf:

@@ -77,13 +77,20 @@ class CorrelationGraph:
     options: GraphOptions = field(default_factory=GraphOptions)
 
     @cached_property
+    def _similar(self) -> list[tuple]:
+        """The similar value pairs, scored once for both ``links`` and
+        ``edges``. Back-links are never name-like, so ``cross_set_only``
+        cannot change them."""
+        return _similar_values(_owners(self.events), self.options.threshold)
+
+    @cached_property
     def links(self) -> list[Link]:
         owners = _owners(self.events, self.options.cross_set_only)
         links = [Link(EXACT, ids, ids, 1.0) for ids in map(tuple, owners.values()) if len(ids) > 1]
         if self.options.fuzzy:
             links += [
                 Link(FUZZY, tuple(ids_l), tuple(ids_r), weight)
-                for _, _, ids_l, _, ids_r, weight in _similar_values(owners, self.options.threshold)
+                for _, _, ids_l, _, ids_r, weight in self._similar
             ]
         return links
 
@@ -91,7 +98,7 @@ class CorrelationGraph:
     def edges(self) -> list[Edge]:
         edges = exact_edges(self.events, cross_set_only=self.options.cross_set_only)
         if self.options.fuzzy:
-            edges.extend(fuzzy_edges(self.events, self.options.threshold))
+            edges.extend(_similar_edges(self._similar))
             edges.sort()
         return edges
 
@@ -208,15 +215,21 @@ def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD)
     """Similarity edges between distinct name-like values of the same type:
     one per event pair across each pair of similar values (see
     :func:`_similar_values`); an event is never linked to itself."""
+    edges = _similar_edges(_similar_values(_owners(events), threshold))
+    edges.sort()
+    return edges
+
+
+def _similar_edges(similar: list[tuple]) -> list[Edge]:
+    """The fuzzy edges of :func:`_similar_values`' pairs, unsorted."""
     edges = []
-    for data_type, value_l, ids_l, value_r, ids_r, weight in _similar_values(_owners(events), threshold):
+    for data_type, value_l, ids_l, value_r, ids_r, weight in similar:
         for id_l in ids_l:
             for id_r in ids_r:
                 if id_l < id_r:
                     edges.append(Edge(id_l, id_r, FUZZY, data_type, value_l, value_r, weight))
                 elif id_r < id_l:
                     edges.append(Edge(id_r, id_l, FUZZY, data_type, value_r, value_l, weight))
-    edges.sort()
     return edges
 
 

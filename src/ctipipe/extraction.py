@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class IndicatorKind(str, Enum):
@@ -84,6 +84,14 @@ _PDB_RE = re.compile(r"[^\s\"'<>|]+\.pdb\b", re.IGNORECASE)
 
 _TRAILING_PUNCT = ".,;:!?)]}\"'"
 
+# No pattern above, nor a filename extension, matches whitespace, and every
+# match holds a trigger: one of ". @ \ : -" followed by a non-whitespace
+# character, or 32 hex digits. So the patterns scan only the whitespace-
+# delimited runs that hold a trigger, through finditer's pos and endpos,
+# which keep offsets and lookbehinds on the whole text.
+_TRIGGER_RE = re.compile(r"[.@\\:\-](?=\S)|[0-9A-Fa-f]{32}")
+_RUN_END_RE = re.compile(r"\S*")
+
 # When spans collide the more specific kind wins; lower index = higher priority.
 _PRIORITY = {
     IndicatorKind.URL: 0,
@@ -116,7 +124,11 @@ def normalize_defanged(raw: str, extra_table: Sequence[tuple[str, str]] | None =
         previous = text
         for pattern, replacement in table:
             if pattern.lower() in _SCHEME_DEFANGS:
-                text = re.sub(re.escape(pattern), replacement, text, flags=re.IGNORECASE)
+                # re.IGNORECASE matches a character to h, x, p or s only where
+                # it casefolds to that letter, so without the pattern in the
+                # casefolded text there is nothing to replace.
+                if pattern.lower() in text.casefold():
+                    text = re.sub(re.escape(pattern), replacement, text, flags=re.IGNORECASE)
             else:
                 text = text.replace(pattern, replacement)
         if text == previous:
@@ -158,9 +170,14 @@ def looks_like_hostname(value: str) -> bool:
 
 
 def _filename_pattern(extensions: Iterable[str]) -> re.Pattern[str]:
+    """The filename pattern for ``extensions``; ValueError if one holds
+    whitespace, which no indicator may span."""
     key = tuple(sorted(set(ext.lower().lstrip(".") for ext in extensions)))
     pattern = _filename_re_cache.get(key)
     if pattern is None:
+        for ext in key:
+            if any(ch.isspace() for ch in ext):
+                raise ValueError(f"filename extension {ext!r} contains whitespace")
         alternatives = "|".join(re.escape(ext) for ext in key)
         pattern = re.compile(rf"\b[\w.\-]+\.(?:{alternatives})\b", re.IGNORECASE)
         _filename_re_cache[key] = pattern
@@ -175,30 +192,19 @@ class _Candidate:
     value: str
 
 
+def _windows(doc: str) -> Iterator[tuple[int, int]]:
+    """``(start, end)`` of each whitespace-delimited run of ``doc`` that holds
+    a trigger, in order."""
+    end = 0
+    while (trigger := _TRIGGER_RE.search(doc, end)) is not None:
+        start = trigger.start()
+        while start > end and not doc[start - 1].isspace():
+            start -= 1
+        end = _RUN_END_RE.match(doc, trigger.end()).end()
+        yield start, end
+
+
 def _gather_candidates(doc: str, extensions: Iterable[str]) -> list[_Candidate]:
-    candidates: list[_Candidate] = []
-
-    for match in _URL_RE.finditer(doc):
-        value = match.group(0).rstrip(_TRAILING_PUNCT)
-        host = value.split("://", 1)[-1]
-        if host:
-            candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.URL, value))
-
-    for match in _REGISTRY_RE.finditer(doc):
-        value = match.group(0).rstrip(_TRAILING_PUNCT)
-        candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.REGISTRY, value))
-
-    for match in _HEX_RUN_RE.finditer(doc):
-        run = match.group(0)
-        if len(run) in _HASH_LENGTHS:
-            candidates.append(
-                _Candidate(match.start(), match.end(), _HASH_LENGTHS[len(run)], run.lower())
-            )
-
-    for match in _IP_RE.finditer(doc):
-        if is_valid_ip(match.group(0)):
-            candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.IP, match.group(0)))
-
     # Kinds whose whole match is the value. The gathering order does not
     # matter: extract_indicators' sort key is total.
     plain = (
@@ -208,9 +214,32 @@ def _gather_candidates(doc: str, extensions: Iterable[str]) -> list[_Candidate]:
         (IndicatorKind.FILENAME, _filename_pattern(extensions)),
         (IndicatorKind.HOSTNAME, _HOSTNAME_RE),
     )
-    for kind, pattern in plain:
-        for match in pattern.finditer(doc):
-            candidates.append(_Candidate(match.start(), match.end(), kind, match.group(0)))
+    candidates: list[_Candidate] = []
+    for start, end in _windows(doc):
+        for match in _URL_RE.finditer(doc, start, end):
+            value = match.group(0).rstrip(_TRAILING_PUNCT)
+            host = value.split("://", 1)[-1]
+            if host:
+                candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.URL, value))
+
+        for match in _REGISTRY_RE.finditer(doc, start, end):
+            value = match.group(0).rstrip(_TRAILING_PUNCT)
+            candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.REGISTRY, value))
+
+        for match in _HEX_RUN_RE.finditer(doc, start, end):
+            run = match.group(0)
+            if len(run) in _HASH_LENGTHS:
+                candidates.append(
+                    _Candidate(match.start(), match.end(), _HASH_LENGTHS[len(run)], run.lower())
+                )
+
+        for match in _IP_RE.finditer(doc, start, end):
+            if is_valid_ip(match.group(0)):
+                candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.IP, match.group(0)))
+
+        for kind, pattern in plain:
+            for match in pattern.finditer(doc, start, end):
+                candidates.append(_Candidate(match.start(), match.end(), kind, match.group(0)))
 
     return candidates
 

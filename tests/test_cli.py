@@ -159,6 +159,24 @@ class TestIngest:
         assert run(golden_config, "ingest", "--force") == 0
         assert (tmp_path / "events.jsonl").read_bytes() == first
 
+    def test_duplicate_titles_rejected_before_writing(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        for name in ("first", "second"):
+            (reports / f"{name}.txt").write_text("C2 at 10.1.2.3\n")
+            (reports / f"{name}.meta").write_text("title: Same\ndate: 2017-01-02\n")
+        config = write_config(tmp_path, reports)
+        assert run(config, "ingest") == 2
+        err = capsys.readouterr().err
+        assert "'Same'" in err and "first.meta" in err and "second.meta" in err
+        assert not (tmp_path / "events.jsonl").exists()
+
+    def test_extension_with_whitespace_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", extensions="exe, tar gz")
+        assert run(config, "ingest") == 1
+        assert "whitespace" in capsys.readouterr().err
+        assert not (tmp_path / "events.jsonl").exists()
+
     def test_missing_meta_sidecar(self, tmp_path, capsys):
         reports = tmp_path / "reports"
         reports.mkdir()

@@ -98,6 +98,8 @@ class TestKeyValueFormat:
         pytest.param(live("analysis.example/api"), id="provider.base_url without scheme"),
         pytest.param(live("https:///api"), id="provider.base_url without host"),
         pytest.param(live("http://[::1/api"), id="provider.base_url with an unclosed IPv6 bracket"),
+        pytest.param("extensions = exe, tar gz", id="extensions with a space"),
+        pytest.param("extensions = exe, tar\u00a0gz", id="extensions with a no-break space"),
     ])
     def test_invariants_enforced(self, tmp_path, line):
         with pytest.raises(ConfigError):
@@ -123,6 +125,11 @@ class TestJsonFormat:
         assert config.extensions == frozenset({"exe", "dll"})
         assert config.defang_extra == (("[:]", ":"),)
         assert config.depth_limit == 3
+
+    def test_extension_with_whitespace_rejected(self, tmp_path):
+        document = {"reports_dir": "r", "store_path": "s.jsonl", "extensions": ["exe", "tar\tgz"]}
+        with pytest.raises(ConfigError, match="whitespace"):
+            load_config(write(tmp_path, json.dumps(document)))
 
     def test_provider_as_string(self, tmp_path):
         document = {"reports_dir": "r", "store_path": "s.jsonl", "provider": "analyses"}

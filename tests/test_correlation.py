@@ -373,6 +373,30 @@ class TestFuzzyEdges:
         assert pairs_exact and not pairs_exact & pairs_fuzzy
 
 
+class TestFuzzyScoredOnce:
+    def test_links_and_edges_share_one_scoring(self, monkeypatch):
+        import ctipipe.correlation as correlation
+
+        rng = random.Random(11)
+        bases = ["bartsimpson", "brightwater", "winterlace"]
+        events = [
+            event(event_id, [("hostname", base[:i] + rng.choice("aexz") + base[i + 1:] + ".com")])
+            for event_id, (base, i) in enumerate(((rng.choice(bases), rng.randrange(10)) for _ in range(30)), 1)
+        ]
+        calls = []
+        real = correlation._lcs_bits
+        monkeypatch.setattr(correlation, "_lcs_bits", lambda *args: calls.append(1) or real(*args))
+        expected = fuzzy_edges(events, 0.8)
+        scored = len(calls)
+        assert scored > 0
+        calls.clear()
+        graph = build_graph(events, GraphOptions(fuzzy=True, threshold=0.8))
+        find_path(graph, 1, 2)
+        assert [e for e in graph.edges if e.kind == FUZZY] == expected
+        graph.edge_count()
+        assert len(calls) == scored
+
+
 class TestFuzzyAgainstPairwise:
     @given(_name_events, st.one_of(st.sampled_from([0.05, 0.5, 0.8, 0.84, 1.0]), st.floats(0.01, 1.0)))
     @settings(max_examples=400)

@@ -1,14 +1,19 @@
 import concurrent.futures
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctipipe import extraction
 from ctipipe.extraction import (
+    DEFANG_TABLE,
     DEFAULT_FILENAME_EXTENSIONS,
     Indicator,
     IndicatorKind,
     _PRIORITY,
+    _Candidate,
     _gather_candidates,
     classify_hash,
     extract_indicators,
@@ -16,7 +21,72 @@ from ctipipe.extraction import (
     normalize_defanged,
 )
 
-from conftest import CLEAVER_MD5, CLEAVER_PDB, CLEAVER_SHA1, GOLDEN_DIR
+from conftest import CLEAVER_MD5, CLEAVER_PDB, CLEAVER_SHA1, GOLDEN_DIR, LAZARUS_DIR
+
+
+# The whole-text bodies that the trigger-window scan and the casefold check
+# replaced: the oracles for _gather_candidates and normalize_defanged.
+def old_normalize_defanged(raw, extra_table=None):
+    table = list(DEFANG_TABLE) + [tuple(entry) for entry in (extra_table or ())]
+    text = raw
+    for _ in range(100):
+        previous = text
+        for pattern, replacement in table:
+            if pattern.lower() in {"hxxp", "hxxps"}:
+                text = re.sub(re.escape(pattern), replacement, text, flags=re.IGNORECASE)
+            else:
+                text = text.replace(pattern, replacement)
+        if text == previous:
+            break
+    return text
+
+
+def old_gather_candidates(doc, extensions):
+    ex = extraction
+    candidates = []
+
+    for match in ex._URL_RE.finditer(doc):
+        value = match.group(0).rstrip(ex._TRAILING_PUNCT)
+        host = value.split("://", 1)[-1]
+        if host:
+            candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.URL, value))
+
+    for match in ex._REGISTRY_RE.finditer(doc):
+        value = match.group(0).rstrip(ex._TRAILING_PUNCT)
+        candidates.append(_Candidate(match.start(), match.start() + len(value), IndicatorKind.REGISTRY, value))
+
+    for match in ex._HEX_RUN_RE.finditer(doc):
+        run = match.group(0)
+        if len(run) in ex._HASH_LENGTHS:
+            candidates.append(
+                _Candidate(match.start(), match.end(), ex._HASH_LENGTHS[len(run)], run.lower())
+            )
+
+    for match in ex._IP_RE.finditer(doc):
+        if is_valid_ip(match.group(0)):
+            candidates.append(_Candidate(match.start(), match.end(), IndicatorKind.IP, match.group(0)))
+
+    plain = (
+        (IndicatorKind.EMAIL, ex._EMAIL_RE),
+        (IndicatorKind.PDB, ex._PDB_RE),
+        (IndicatorKind.CVE, ex._CVE_RE),
+        (IndicatorKind.FILENAME, ex._filename_pattern(extensions)),
+        (IndicatorKind.HOSTNAME, ex._HOSTNAME_RE),
+    )
+    for kind, pattern in plain:
+        for match in pattern.finditer(doc):
+            candidates.append(_Candidate(match.start(), match.end(), kind, match.group(0)))
+
+    return candidates
+
+
+def old_extract_indicators(doc, source_id, extensions=None):
+    with mock.patch.object(extraction, "_gather_candidates", old_gather_candidates):
+        return extract_indicators(doc, source_id, extensions)
+
+
+def candidate_key(candidate):
+    return (candidate.start, candidate.end, candidate.kind.value, candidate.value)
 
 
 class TestNormalizeDefanged:
@@ -255,3 +325,126 @@ def test_default_extension_list_matches_contract():
 def test_indicator_is_hashable():
     indicator = Indicator(IndicatorKind.IP, "1.2.3.4", "r", 0)
     assert len({indicator, indicator}) == 1
+
+
+def test_extension_with_whitespace_rejected():
+    # "backup.tar gz" would otherwise be one filename spanning a space.
+    with pytest.raises(ValueError, match="whitespace"):
+        extract_indicators("kept backup.tar gz here", "r", extensions={"exe", "tar gz"})
+
+
+EVERY_CHARACTER = "".join(map(chr, range(0x110000)))
+
+
+def test_window_whitespace_is_the_patterns_whitespace():
+    # _windows walks back over str.isspace(); the patterns exclude \s.
+    assert [m.start() for m in re.finditer(r"\s", EVERY_CHARACTER)] == [
+        i for i, ch in enumerate(EVERY_CHARACTER) if ch.isspace()
+    ]
+
+
+def test_scheme_letters_match_only_their_casefold():
+    # normalize_defanged skips the case-insensitive hxxp/hxxps substitution
+    # when the casefolded text lacks the pattern, which is exact only if no
+    # character matches h, x, p or s under re.IGNORECASE without folding to it.
+    matched = {
+        letter: {m.group() for m in re.finditer(letter, EVERY_CHARACTER, re.IGNORECASE)}
+        for letter in "hxps"
+    }
+    assert "\u017f" in matched["s"]  # long s: lowercase, yet it folds to "s"
+    for letter, characters in matched.items():
+        assert {ch.casefold() for ch in characters} == {letter}
+
+
+_PIECES = st.sampled_from([
+    "hxxp", "hXXps", "HxXp", "\u017f", "\u212a", "[.]", "(.)", "{.}", "[dot]", "[at]", "[@]", "[[dot]]",
+    "://", "\\", "HKLM\\", "HKEY_CURRENT_USER\\", "CVE-2017-0144", "CVE-", "1.2.3.4", "999.1.1.1",
+    "10.0.0", "\u0663", ".pdb", ".exe", ".zip", ".tar", ".gz", ".com", ".net", "@", "-", ":", ".", ",",
+    ";", ")", "(", '"', "'", "<", ">", "|", "/", " ", "\n", "\t", "\u00a0", "\u2028", "\x1c", "\u3000",
+    "example", "a-b", "mail", "http", "https", "ftp", "_", "x",
+])
+_HEX_RUNS = st.integers(1, 70).flatmap(
+    lambda n: st.text(alphabet="0123456789abcdefABCDEF", min_size=n, max_size=n)
+)
+_SHORT = st.text(alphabet="abcdefxyzHKS019._-@:\\/ ", max_size=8)
+_TEXTS = st.lists(st.one_of(_PIECES, _HEX_RUNS, _SHORT), max_size=40).map("".join)
+_EXTENSIONS = st.one_of(
+    st.none(),
+    st.frozensets(
+        st.sampled_from(["exe", "tar", "gz", "com", "pdb", "x", "1", "a-b", ".zip", "\u212a", "\u017f", "dll", "."]),
+        min_size=1,
+    ),
+)
+_DEFANG_ENTRIES = st.tuples(
+    st.sampled_from(["HXXP", "hxxps", "[:]", "[x]", "(dot)", "[[.]]", "xx", "\u017f", "\u212a", "[-]"]),
+    st.sampled_from(["", ".", ":", "x", "-", "http", "https"]),
+).filter(lambda entry: len(entry[1]) <= len(entry[0]))
+
+
+class TestAgainstOracles:
+    @given(_TEXTS, _EXTENSIONS, st.booleans())
+    @settings(max_examples=600)
+    @example(SAMPLE_DOC, None, False)
+    @example("f" * 31 + "x" + "0" * 32 + " \u00a0" + "A" * 64 + ".", None, False)
+    @example("a.b hxxp://\u017f.com\u2028\u212a.exe x.\u00a0y", frozenset({"."}), True)
+    def test_extract_matches_whole_text_scan(self, text, extensions, normalize):
+        doc = normalize_defanged(text) if normalize else text
+        gather_with = extensions or DEFAULT_FILENAME_EXTENSIONS
+        assert sorted(_gather_candidates(doc, gather_with), key=candidate_key) == sorted(
+            old_gather_candidates(doc, gather_with), key=candidate_key
+        )
+        assert extract_indicators(doc, "r", extensions) == old_extract_indicators(doc, "r", extensions)
+
+    @pytest.mark.parametrize("path", sorted((GOLDEN_DIR / "reports").glob("*.txt")) + sorted(
+        (LAZARUS_DIR / "reports").glob("*.txt")), ids=lambda path: path.name)
+    def test_corpus_reports(self, path):
+        raw = path.read_text(encoding="utf-8")
+        assert normalize_defanged(raw) == old_normalize_defanged(raw)
+        doc = normalize_defanged(raw)
+        assert extract_indicators(doc, path.name) == old_extract_indicators(doc, path.name)
+
+    @given(_TEXTS, st.lists(_DEFANG_ENTRIES, max_size=4))
+    @settings(max_examples=600)
+    @example("HXXPS://a[.]b", [])
+    @example("hxxhxxpp://x \u017f hxx\u017f", [("[x]", "x")])
+    @example("h[x]xp://\u212a", [("[x]", "x"), ("HXXP", "http")])
+    def test_normalize_matches_oracle(self, text, extra):
+        assert normalize_defanged(text, extra) == old_normalize_defanged(text, extra)
+
+
+class _RecordedPattern:
+    """A compiled pattern that adds the length of every span it scans."""
+
+    def __init__(self, pattern, scanned, name):
+        self.pattern, self.scanned, self.name = pattern, scanned, name
+
+    def finditer(self, string, pos=0, endpos=None):
+        end = len(string) if endpos is None else min(endpos, len(string))
+        self.scanned[self.name] = self.scanned.get(self.name, 0) + max(0, end - pos)
+        return self.pattern.finditer(string, pos, end)
+
+
+def test_patterns_scan_only_trigger_windows(monkeypatch):
+    doc = normalize_defanged(
+        (GOLDEN_DIR / "reports" / "Cylance_Operation_Cleaver_Report.txt").read_text()
+    ) + "\n" + SAMPLE_DOC
+    expected = extract_indicators(doc, "r")
+    # The windows by their definition: whitespace-delimited runs that hold a
+    # trigger character followed by a non-space, or 32 hex digits.
+    budget = sum(
+        len(run) for run in re.findall(r"\S+", doc) if re.search(r"[.@\\:\-]\S|[0-9A-Fa-f]{32}", run)
+    )
+    assert budget < len(doc) // 2
+    scanned = {}
+    for name in ("_URL_RE", "_REGISTRY_RE", "_HEX_RUN_RE", "_IP_RE", "_EMAIL_RE", "_PDB_RE",
+                 "_CVE_RE", "_HOSTNAME_RE"):
+        monkeypatch.setattr(extraction, name, _RecordedPattern(getattr(extraction, name), scanned, name))
+    filename_pattern = extraction._filename_pattern
+    monkeypatch.setattr(
+        extraction, "_filename_pattern",
+        lambda extensions: _RecordedPattern(filename_pattern(extensions), scanned, "filename"),
+    )
+    assert extract_indicators(doc, "r") == expected
+    assert len(scanned) == 9
+    for name, total in scanned.items():
+        assert total <= budget, name
