@@ -14,6 +14,7 @@ import argparse
 import datetime as dt
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -127,7 +128,6 @@ def _cmd_enrich(config: PipelineConfig, args) -> int:
     if any(e.kind == MALWARE for e in events):
         raise StoreError(f"{config.store_path} already contains malware events")
 
-    depth_limit = args.depth if args.depth is not None else config.depth_limit
     reports = [e for e in events if e.kind == REPORT]
     seeded = [(r, report_hashes(r)) for r in reports]
     all_seeds = set().union(*(seeds for _, seeds in seeded))
@@ -136,14 +136,14 @@ def _cmd_enrich(config: PipelineConfig, args) -> int:
         result = enrich_transitively(
             all_seeds,
             provider,
-            depth_limit,
+            config.depth_limit,
             retries=config.retry_count,
             backoff=config.retry_backoff,
             max_workers=config.max_workers,
         )
     malware = []
     for report, seeds in seeded:
-        closure = replay_closure(seeds, result, depth_limit)
+        closure = replay_closure(seeds, result, config.depth_limit)
         for hash_value in sorted(closure.all_hashes()):
             malware.append(build_malware_event(hash_value, closure.records.get(hash_value), report.info, report.date))
 
@@ -192,7 +192,10 @@ def _cmd_stats(config: PipelineConfig, args) -> int:
         raise StoreError(f"{config.store_path} is empty")
     sidecar = _sidecar_path(config)
     if sidecar.is_file():
-        enrichment = EnrichmentResult.from_document(json.loads(sidecar.read_text(encoding="utf-8")))
+        try:
+            enrichment = EnrichmentResult.from_document(json.loads(sidecar.read_text(encoding="utf-8")))
+        except (AnalysisDataError, ValueError) as exc:
+            raise StoreError(f"{sidecar}: {exc}") from exc
     else:
         enrichment = EnrichmentResult()
     tables = compute_stat_tables(events, enrichment, _normalized_report_texts(config))
@@ -215,15 +218,9 @@ def _cmd_correlate(config: PipelineConfig, args) -> int:
     events = load_all(config.store_path)
     if not events:
         raise StoreError(f"{config.store_path} is empty")
-    options = GraphOptions(
-        fuzzy=args.fuzzy,
-        threshold=args.threshold if args.threshold is not None else config.fuzzy_threshold,
-        cross_set_only=args.cross_set_only,
-    )
+    options = GraphOptions(fuzzy=args.fuzzy, threshold=config.fuzzy_threshold, cross_set_only=args.cross_set_only)
     graph = build_graph(events, options)
-    # The edge list is built only for the files that print it.
-    edge_count = len(graph.edges) if args.dot or args.json_out else graph.edge_count()
-    print(f"graph: {len(graph.nodes)} nodes, {edge_count} edges")
+    print(f"graph: {len(graph.nodes)} nodes, {graph.edge_count()} edges")
     if args.path:
         start, goal = args.path
         path = find_path(graph, start, goal)
@@ -263,7 +260,8 @@ def _build_parser() -> _ArgumentParser:
     ingest.set_defaults(func=_cmd_ingest)
 
     enrich = commands.add_parser("enrich", help="collect malware analyses, append malware events")
-    enrich.add_argument("--depth", type=int, help="override the configured recursion depth")
+    enrich.add_argument("--depth", dest="depth_limit", metavar="DEPTH", type=int,
+                        help="override the configured recursion depth")
     enrich.set_defaults(func=_cmd_enrich)
 
     filter_cmd = commands.add_parser("filter", help="dedup, denylist, and report noise")
@@ -276,7 +274,8 @@ def _build_parser() -> _ArgumentParser:
 
     correlate = commands.add_parser("correlate", help="build the correlation graph")
     correlate.add_argument("--fuzzy", action="store_true", help="add similarity edges")
-    correlate.add_argument("--threshold", type=float, help="override the configured similarity threshold")
+    correlate.add_argument("--threshold", dest="fuzzy_threshold", metavar="THRESHOLD", type=float,
+                           help="override the configured similarity threshold")
     correlate.add_argument("--cross-set-only", action="store_true", help="ignore back-link matches")
     correlate.add_argument("--path", nargs=2, type=int, metavar=("A", "B"), help="query a path between two event ids")
     correlate.add_argument("--dot", help="write the graph in DOT format")
@@ -302,7 +301,12 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        # An option whose dest names a config field overrides that field,
+        # and the result is validated like the file.
         config = load_config(args.config)
+        config = replace(config, **{
+            f.name: getattr(args, f.name) for f in fields(config) if getattr(args, f.name, None) is not None
+        })
         return args.func(config, args)
     except (ConfigError, DenylistError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,9 @@ class PipelineConfig:
     retry_backoff: float = 0.5
     max_workers: int = 4
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not 0.0 < self.fuzzy_threshold <= 1.0:
             raise ConfigError(f"fuzzy_threshold must be within (0, 1], got {self.fuzzy_threshold}")
@@ -54,6 +57,8 @@ class PipelineConfig:
             raise ConfigError(f"depth_limit must be >= 1, got {self.depth_limit}")
         if self.retry_count < 0:
             raise ConfigError(f"retry_count must be >= 0, got {self.retry_count}")
+        if not 0.0 <= self.retry_backoff < math.inf:
+            raise ConfigError(f"retry_backoff must be finite and >= 0, got {self.retry_backoff}")
         if self.max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.extensions is not None:
@@ -170,7 +175,7 @@ def load_config(path: str | Path) -> PipelineConfig:
                 raise ConfigError(f"defang.{pattern}: replacement must not be longer than the pattern")
         defang_extra = tuple((str(k), str(v)) for k, v in raw_defang.items())
 
-    config = PipelineConfig(
+    return PipelineConfig(
         reports_dir=resolve("reports_dir", required=True),
         store_path=resolve("store_path", required=True),
         provider_fixture=provider_fixture,
@@ -185,5 +190,3 @@ def load_config(path: str | Path) -> PipelineConfig:
         retry_backoff=_as_number(data, "retry_backoff", 0.5),
         max_workers=_as_number(data, "max_workers", 4, int),
     )
-    config.validate()
-    return config

@@ -53,12 +53,17 @@ class GraphOptions:
 class Link(NamedTuple):
     """Every event pair that one value, or one similar value pair, links.
 
-    An exact link is a clique: each two of ``left`` (``right`` is the same
-    tuple) share the value. A fuzzy link is a biclique: each event of
-    ``left`` to each other event of ``right``."""
+    An exact link is a clique: each two of ``left`` share ``value_left``;
+    ``right`` is the same ascending tuple and ``value_right`` the same value.
+    A fuzzy link is a biclique: each event of ``left``, which holds
+    ``value_left``, to each other event of ``right``, which holds
+    ``value_right``."""
 
     kind: str
+    data_type: str
+    value_left: str
     left: tuple[int, ...]
+    value_right: str
     right: tuple[int, ...]
     weight: float
 
@@ -67,9 +72,10 @@ class Link(NamedTuple):
 class CorrelationGraph:
     """Events as nodes, joined through the values they share or resemble.
 
-    ``links`` is the form path search reads, one per shared value and one per
-    similar value pair; ``edges`` lists every linked event pair per value
-    pair, for DOT and JSON output. Each is built from ``events`` on first use.
+    ``links`` is the graph's one built structure, one per shared value and
+    one per similar value pair; path search reads it, and ``edges``, every
+    linked event pair per value pair for DOT and JSON output, is expanded
+    from it. Each is built on first use.
     """
 
     nodes: dict[int, tuple[str, str]]  # event id -> (kind, info)
@@ -77,30 +83,19 @@ class CorrelationGraph:
     options: GraphOptions = field(default_factory=GraphOptions)
 
     @cached_property
-    def _similar(self) -> list[tuple]:
-        """The similar value pairs, scored once for both ``links`` and
-        ``edges``. Back-links are never name-like, so ``cross_set_only``
-        cannot change them."""
-        return _similar_values(_owners(self.events), self.options.threshold)
-
-    @cached_property
     def links(self) -> list[Link]:
+        # Back-links are never name-like, so cross_set_only leaves the
+        # similar pairs as they are.
         owners = _owners(self.events, self.options.cross_set_only)
-        links = [Link(EXACT, ids, ids, 1.0) for ids in map(tuple, owners.values()) if len(ids) > 1]
+        links = [Link(EXACT, data_type, value, ids, value, ids, 1.0)
+                 for (data_type, value), ids in owners.items() if len(ids) > 1]
         if self.options.fuzzy:
-            links += [
-                Link(FUZZY, tuple(ids_l), tuple(ids_r), weight)
-                for _, _, ids_l, _, ids_r, weight in self._similar
-            ]
+            links += _similar_values(owners, self.options.threshold)
         return links
 
     @cached_property
     def edges(self) -> list[Edge]:
-        edges = exact_edges(self.events, cross_set_only=self.options.cross_set_only)
-        if self.options.fuzzy:
-            edges.extend(_similar_edges(self._similar))
-            edges.sort()
-        return edges
+        return _edges(self.links)
 
     def edge_count(self) -> int:
         """``len(self.edges)``, counted from the links."""
@@ -178,21 +173,30 @@ def name_similarity(value_a: str, value_b: str, data_type: str) -> float:
     return lcs_ratio(canonical_name(value_a, data_type), canonical_name(value_b, data_type))
 
 
-def _event_pairs(event: Event, cross_set_only: bool) -> set[tuple[str, str]]:
-    return {
-        (a.type, a.value)
-        for a in event.attributes
-        if not (cross_set_only and is_back_link(a))
-    }
-
-
-def _owners(events: list[Event], cross_set_only: bool = False) -> dict[tuple[str, str], dict[int, None]]:
-    """The ids of the events holding each (type, value), as dict keys."""
+def _owners(events: list[Event], cross_set_only: bool = False) -> dict[tuple[str, str], tuple[int, ...]]:
+    """The distinct ids of the events holding each (type, value), ascending."""
     owners: dict[tuple[str, str], dict[int, None]] = {}
-    for event in events:
-        for pair in _event_pairs(event, cross_set_only):
-            owners.setdefault(pair, {})[event.id] = None
-    return owners
+    for event in sorted(events, key=lambda e: e.id):
+        for a in event.attributes:
+            if not (cross_set_only and is_back_link(a)):
+                owners.setdefault((a.type, a.value), {})[event.id] = None
+    return {pair: tuple(ids) for pair, ids in owners.items()}
+
+
+def _edges(links: list[Link]) -> list[Edge]:
+    """Every event pair of ``links`` as an edge a < b, sorted; an event is
+    never linked to itself. A fuzzy pair's values are swapped with its ids;
+    an exact pair's are equal, so its clique yields each pair once."""
+    edges = []
+    for kind, data_type, value_l, left, value_r, right, weight in links:
+        for a in left:
+            for b in right:
+                if a < b:
+                    edges.append(Edge(a, b, kind, data_type, value_l, value_r, weight))
+                elif b < a and kind == FUZZY:
+                    edges.append(Edge(b, a, kind, data_type, value_r, value_l, weight))
+    edges.sort()
+    return edges
 
 
 def exact_edges(events: list[Event], *, cross_set_only: bool = False) -> list[Edge]:
@@ -201,42 +205,19 @@ def exact_edges(events: list[Event], *, cross_set_only: bool = False) -> list[Ed
     With ``cross_set_only`` the back-link comments are skipped: they connect
     an event set's own members, which is already known ground truth.
     """
-    edges = []
-    for (data_type, value), ids in _owners(events, cross_set_only).items():
-        ids = sorted(ids)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                edges.append(Edge(ids[i], ids[j], EXACT, data_type, value, value, 1.0))
-    edges.sort()
-    return edges
+    return build_graph(events, GraphOptions(cross_set_only=cross_set_only)).edges
 
 
 def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD) -> list[Edge]:
     """Similarity edges between distinct name-like values of the same type:
     one per event pair across each pair of similar values (see
     :func:`_similar_values`); an event is never linked to itself."""
-    edges = _similar_edges(_similar_values(_owners(events), threshold))
-    edges.sort()
-    return edges
+    return _edges(_similar_values(_owners(events), threshold))
 
 
-def _similar_edges(similar: list[tuple]) -> list[Edge]:
-    """The fuzzy edges of :func:`_similar_values`' pairs, unsorted."""
-    edges = []
-    for data_type, value_l, ids_l, value_r, ids_r, weight in similar:
-        for id_l in ids_l:
-            for id_r in ids_r:
-                if id_l < id_r:
-                    edges.append(Edge(id_l, id_r, FUZZY, data_type, value_l, value_r, weight))
-                elif id_r < id_l:
-                    edges.append(Edge(id_r, id_l, FUZZY, data_type, value_r, value_l, weight))
-    return edges
-
-
-def _similar_values(owners: dict[tuple[str, str], dict[int, None]], threshold: float) -> list[tuple]:
-    """(data_type, value, owner ids, other value, its owner ids, weight) for
-    each pair of distinct name-like values of one type whose similarity
-    reaches ``threshold``, weight rounded to 9 places.
+def _similar_values(owners: dict[tuple[str, str], tuple[int, ...]], threshold: float) -> list[Link]:
+    """One fuzzy link for each pair of distinct name-like values of one type
+    whose similarity reaches ``threshold``, weight rounded to 9 places.
 
     Equal values are exact matches and never pair here, so no event pair
     is linked both exactly and fuzzily through the same values. Values are grouped by
@@ -245,7 +226,7 @@ def _similar_values(owners: dict[tuple[str, str], dict[int, None]], threshold: f
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be within (0, 1], got {threshold}")
-    groups: dict[str, dict[str, list[tuple[str, dict[int, None]]]]] = {}
+    groups: dict[str, dict[str, list[tuple[str, tuple[int, ...]]]]] = {}
     for (data_type, value), ids in owners.items():
         if data_type not in NAME_LIKE_TYPES:
             continue
@@ -259,7 +240,7 @@ def _similar_values(owners: dict[tuple[str, str], dict[int, None]], threshold: f
             group = by_canonical[short]
             for k, (value_l, ids_l) in enumerate(group):
                 for value_r, ids_r in group[k + 1:]:
-                    similar.append((data_type, value_l, ids_l, value_r, ids_r, 1.0))
+                    similar.append(Link(FUZZY, data_type, value_l, ids_l, value_r, ids_r, 1.0))
             n = len(short)
             masks = _match_masks(short)
             for long in names[i + 1:]:
@@ -273,7 +254,7 @@ def _similar_values(owners: dict[tuple[str, str], dict[int, None]], threshold: f
                     weight = round(similarity, 9)
                     for value_l, ids_l in group:
                         for value_r, ids_r in by_canonical[long]:
-                            similar.append((data_type, value_l, ids_l, value_r, ids_r, weight))
+                            similar.append(Link(FUZZY, data_type, value_l, ids_l, value_r, ids_r, weight))
     return similar
 
 
@@ -309,7 +290,7 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
     sides: list[tuple[int, ...]] = []
     facing: list[int] = []
     weights: list[float] = []
-    for kind, left, right, weight in graph.links:
+    for kind, _, _, left, _, right, weight in graph.links:
         if kind == EXACT:
             facing.append(len(sides))
             sides.append(left)

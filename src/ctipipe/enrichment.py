@@ -166,11 +166,20 @@ class EnrichmentResult:
 
     @classmethod
     def from_document(cls, document: dict) -> "EnrichmentResult":
+        """The result :meth:`to_document` wrote; a non-object, a missing key
+        or a wrongly typed field raises :class:`AnalysisDataError`."""
+        if not isinstance(document, dict):
+            raise AnalysisDataError("document", "expected a JSON object")
+        for key, kind in (("records", dict), ("missing", list), ("discovered", list), ("query_count", int)):
+            value = document.get(key)
+            # type(), not isinstance(): a JSON true is no query count.
+            if type(value) is not kind or kind is list and not all(type(item) is str for item in value):
+                raise AnalysisDataError(key, f"expected {kind.__name__}, got {value!r}" if key in document else "missing")
         return cls(
             records={h: AnalysisRecord.from_document(doc) for h, doc in document["records"].items()},
             missing=set(document["missing"]),
             discovered=set(document["discovered"]),
-            query_count=int(document["query_count"]),
+            query_count=document["query_count"],
         )
 
 

@@ -244,6 +244,21 @@ class TestEnrich:
         dropped = next(e for e in events if e.info == "c99a74c555371a433d121f551d6c6398")
         assert [a.type for a in dropped.attributes] == ["md5", "comment"]
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_invalid_depth_flag_is_a_config_error(self, golden_config, tmp_path, capsys, depth):
+        run(golden_config, "ingest")
+        before = (tmp_path / "events.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run(golden_config, "enrich", "--depth", depth) == 1
+        assert capsys.readouterr().err.startswith("error: depth_limit")
+        assert (tmp_path / "events.jsonl").read_bytes() == before
+        assert not (tmp_path / "events.jsonl.enrichment.json").exists()
+
+    def test_depth_flag_checked_before_the_store(self, golden_config, tmp_path, capsys):
+        (tmp_path / "events.jsonl").write_text("not json\n")
+        assert run(golden_config, "enrich", "--depth", "0") == 1
+        assert "depth_limit" in capsys.readouterr().err
+
     def test_overlapping_reports_fetch_each_hash_once(self, overlap_config, tmp_path, fetch_log, capsys):
         run(overlap_config, "ingest")
         assert run(overlap_config, "enrich") == 0
@@ -392,6 +407,33 @@ class TestStats:
         assert (tmp_path / "events.jsonl").read_bytes() == before
 
 
+    @pytest.mark.parametrize("document", [
+        pytest.param([], id="not an object"),
+        pytest.param({}, id="no keys"),
+        pytest.param({"records": {}, "missing": [], "discovered": []}, id="no query_count"),
+        pytest.param({"records": [], "missing": [], "discovered": [], "query_count": 0}, id="records a list"),
+        pytest.param({"records": {"x": 1}, "missing": [], "discovered": [], "query_count": 0},
+                     id="record not an object"),
+        pytest.param({"records": {}, "missing": "abc", "discovered": [], "query_count": 0}, id="missing a string"),
+        pytest.param({"records": {}, "missing": [], "discovered": [["a"]], "query_count": 0},
+                     id="discovered holds a list"),
+        pytest.param({"records": {}, "missing": [], "discovered": [], "query_count": "4"},
+                     id="query_count a string"),
+        pytest.param({"records": {}, "missing": [], "discovered": [], "query_count": True},
+                     id="query_count a boolean"),
+    ])
+    def test_malformed_sidecar_is_a_data_error(self, golden_config, tmp_path, capsys, document):
+        run(golden_config, "ingest")
+        run(golden_config, "enrich")
+        sidecar = tmp_path / "events.jsonl.enrichment.json"
+        sidecar.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert run(golden_config, "stats") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {sidecar}: ")
+        assert "Traceback" not in err
+
 class TestCorrelate:
     def test_lazarus_path(self, lazarus_config, capsys):
         run(lazarus_config, "ingest")
@@ -431,6 +473,21 @@ class TestCorrelate:
         strict_edges = int(strict.split("nodes, ")[1].split(" edges")[0])
         assert loose_edges > strict_edges
 
+
+    @pytest.mark.parametrize("flags", [[], ["--fuzzy"]], ids=["exact", "fuzzy"])
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.2", "nan"])
+    def test_invalid_threshold_flag_is_a_config_error(self, lazarus_config, capsys, flags, threshold):
+        run(lazarus_config, "ingest")
+        capsys.readouterr()
+        assert run(lazarus_config, "correlate", *flags, "--threshold", threshold) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: fuzzy_threshold")
+
+    def test_threshold_flag_checked_before_the_store(self, lazarus_config, tmp_path, capsys):
+        assert run(lazarus_config, "correlate", "--threshold", "1.5") == 1
+        assert "fuzzy_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "events.jsonl").exists()
 
 class TestGraphFiles:
     """correlate --dot and --json output, byte for byte, against files in

@@ -88,6 +88,9 @@ class TestKeyValueFormat:
         "depth_limit = 0",
         "noise_threshold = 0",
         "max_workers = 0",
+        "retry_backoff = -0.5",
+        "retry_backoff = nan",
+        "retry_backoff = inf",
         pytest.param(LIVE + "provider.rate_limit = 0", id="provider.rate_limit = 0"),
         pytest.param(LIVE + "provider.rate_limit = -2", id="provider.rate_limit = -2"),
         pytest.param(LIVE + "provider.rate_limit = fast", id="provider.rate_limit = fast"),
@@ -130,6 +133,12 @@ class TestJsonFormat:
         document = {"reports_dir": "r", "store_path": "s.jsonl", "extensions": ["exe", "tar\tgz"]}
         with pytest.raises(ConfigError, match="whitespace"):
             load_config(write(tmp_path, json.dumps(document)))
+
+    def test_overflowing_retry_backoff_rejected(self, tmp_path):
+        # json.loads reads 1e999 as inf, which time.sleep cannot take.
+        text = '{"reports_dir": "r", "store_path": "s.jsonl", "retry_backoff": 1e999}'
+        with pytest.raises(ConfigError, match="retry_backoff"):
+            load_config(write(tmp_path, text))
 
     def test_provider_as_string(self, tmp_path):
         document = {"reports_dir": "r", "store_path": "s.jsonl", "provider": "analyses"}

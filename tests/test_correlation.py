@@ -502,7 +502,7 @@ class TestEventSetSimilarity:
 def weighted_graph(nodes, links):
     """A graph with one fuzzy link per (a, b, weight) link."""
     graph = CorrelationGraph({node: (REPORT, f"e{node}") for node in nodes})
-    graph.links = [Link(FUZZY, (a,), (b,), w) for a, b, w in links]
+    graph.links = [Link(FUZZY, "other", "x", (a,), "y", (b,), w) for a, b, w in links]
     return graph
 
 
@@ -670,7 +670,8 @@ class TestPaths:
 
 
 class TestLinkSearch:
-    """The link search against the edge-list search it replaced, and the
+    """The link search against the edge-list search it replaced, the edges
+    expanded from the links against the pairwise oracles, and the
     link-derived edge count against the edge list."""
 
     options = st.one_of(
@@ -685,6 +686,26 @@ class TestLinkSearch:
         graph = build_graph(events, options)
         for start, goal in itertools.product(graph.nodes, repeat=2):
             assert find_path(graph, start, goal) == edge_list_path(graph, start, goal), (start, goal)
+
+    @given(_graph_events, options)
+    @settings(max_examples=300)
+    def test_edges_match_brute_force(self, events, options):
+        # Every edge comes from the one expansion of the links: it must be
+        # the pairwise exact oracle plus, with fuzzy, the pairwise fuzzy one,
+        # each pair once.
+        graph = build_graph(events, options)
+        expected = {
+            Edge(a, b, EXACT, data_type, value, value, 1.0)
+            for a, b, data_type, value in TestExactEdges().brute_force(events, options.cross_set_only)
+        }
+        if options.fuzzy:
+            expected.update(pairwise_fuzzy_edges(events, options.threshold))
+        assert graph.edges == sorted(expected)
+        assert exact_edges(events, cross_set_only=options.cross_set_only) == [
+            e for e in graph.edges if e.kind == EXACT
+        ]
+        if options.fuzzy:
+            assert fuzzy_edges(events, options.threshold) == [e for e in graph.edges if e.kind == FUZZY]
 
     @given(_graph_events, options)
     @settings(max_examples=300)
@@ -704,14 +725,14 @@ class TestLinkSearch:
                 weight = rng.choice([0.5, 0.8, 0.9, 1.0])
                 left = tuple(rng.sample(nodes, rng.randint(1, min(4, len(nodes)))))
                 if rng.random() < 0.4:
-                    graph.links.append(Link(EXACT, left, left, weight))
+                    graph.links.append(Link(EXACT, "other", "x", left, "x", left, weight))
                 else:
                     right = tuple(rng.sample(nodes, rng.randint(1, min(4, len(nodes)))))
-                    graph.links.append(Link(FUZZY, left, right, weight))
+                    graph.links.append(Link(FUZZY, "other", "x", left, "y", right, weight))
             oracle = CorrelationGraph(graph.nodes)
             oracle.edges = sorted(
                 Edge(min(a, b), max(a, b), kind, "other", "", "", weight)
-                for kind, left, right, weight in graph.links
+                for kind, _, _, left, _, right, weight in graph.links
                 for a in left
                 for b in right
                 if a != b
@@ -722,7 +743,7 @@ class TestLinkSearch:
     def test_shared_value_is_one_clique(self):
         events = [event(i, [("ip-src", "7.7.7.7")]) for i in (1, 2, 3)]
         graph = build_graph(events)
-        assert graph.links == [Link(EXACT, (1, 2, 3), (1, 2, 3), 1.0)]
+        assert graph.links == [Link(EXACT, "ip-src", "7.7.7.7", (1, 2, 3), "7.7.7.7", (1, 2, 3), 1.0)]
         assert graph.edge_count() == 3
 
     def test_path_query_builds_no_edges(self):
