@@ -14,10 +14,9 @@ from .events import (
     REPORT,
     group_event_sets,
     is_back_link,
-    looks_like_hash,
     report_hashes,
 )
-from .extraction import looks_like_hostname
+from .extraction import is_valid_hash, looks_like_hostname
 
 
 class CategoryLabel(Enum):
@@ -31,7 +30,7 @@ class CategoryLabel(Enum):
 
 def _caseless(value: str) -> bool:
     # Hashes and hostnames compare case-insensitively against report text.
-    return looks_like_hash(value) or looks_like_hostname(value)
+    return is_valid_hash(value) or looks_like_hostname(value)
 
 
 def classify_category(

@@ -107,14 +107,30 @@ def _parse_key_values(text: str) -> dict:
     return data
 
 
-def _as_number(data: dict, key: str, default: float, kind: type = float):
-    if key not in data:
-        return default
-    try:
-        return kind(data[key])
-    except (TypeError, ValueError) as exc:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: expected {expected}, got {data[key]!r}") from exc
+# The numeric settings a file may set, with their types. A setting the file
+# leaves out keeps its dataclass default.
+_NUMBERS = {
+    "depth_limit": int,
+    "fuzzy_threshold": float,
+    "noise_threshold": float,
+    "retry_count": int,
+    "retry_backoff": float,
+    "max_workers": int,
+}
+
+
+def _numbers(data: dict, kinds: dict[str, type]) -> dict:
+    """The settings of ``kinds`` that ``data`` sets, each parsed as its kind."""
+    numbers = {}
+    for key, kind in kinds.items():
+        if key not in data:
+            continue
+        try:
+            numbers[key] = kind(data[key])
+        except (TypeError, ValueError) as exc:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {data[key]!r}") from exc
+    return numbers
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -130,42 +146,33 @@ def load_config(path: str | Path) -> PipelineConfig:
     else:
         data = _parse_key_values(text)
 
-    base = path.parent
+    def resolve(value) -> Path:
+        value = Path(str(value))
+        return value if value.is_absolute() else (path.parent / value).resolve()
 
-    def resolve(key: str, required: bool = False) -> Path | None:
-        value = data.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required setting {key!r}")
-            return None
-        return (base / str(value)).resolve() if not Path(str(value)).is_absolute() else Path(str(value))
-
-    provider_fixture = None
-    provider_live = None
+    settings: dict = {}
     provider = data.get("provider")
     if isinstance(provider, str):
-        provider_fixture = (base / provider).resolve() if not Path(provider).is_absolute() else Path(provider)
+        settings["provider_fixture"] = resolve(provider)
     elif isinstance(provider, dict):
         try:
-            provider_live = LiveProviderConfig(
+            settings["provider_live"] = LiveProviderConfig(
                 base_url=str(provider["base_url"]),
                 api_key_env=provider["api_key_env"],
-                rate_limit=_as_number(provider, "rate_limit", 4.0),
+                **_numbers(provider, {"rate_limit": float}),
             )
         except KeyError as exc:
             raise ConfigError(f"provider: missing {exc.args[0]!r}") from exc
     elif provider is not None:
         raise ConfigError("provider must be a fixture directory or a base_url/api_key_env table")
 
-    extensions = None
     raw_extensions = data.get("extensions")
     if raw_extensions is not None:
         items = raw_extensions if isinstance(raw_extensions, list) else str(raw_extensions).split(",")
-        extensions = frozenset(ext.strip().lower().lstrip(".") for ext in items if ext.strip())
-        if not extensions:
+        settings["extensions"] = frozenset(ext.strip().lower().lstrip(".") for ext in items if ext.strip())
+        if not settings["extensions"]:
             raise ConfigError("extensions: expected at least one file extension")
 
-    defang_extra: tuple[tuple[str, str], ...] = ()
     raw_defang = data.get("defang")
     if raw_defang is not None:
         if not isinstance(raw_defang, dict):
@@ -173,20 +180,12 @@ def load_config(path: str | Path) -> PipelineConfig:
         for pattern, replacement in raw_defang.items():
             if not pattern or len(str(replacement)) > len(str(pattern)):
                 raise ConfigError(f"defang.{pattern}: replacement must not be longer than the pattern")
-        defang_extra = tuple((str(k), str(v)) for k, v in raw_defang.items())
+        settings["defang_extra"] = tuple((str(k), str(v)) for k, v in raw_defang.items())
 
-    return PipelineConfig(
-        reports_dir=resolve("reports_dir", required=True),
-        store_path=resolve("store_path", required=True),
-        provider_fixture=provider_fixture,
-        provider_live=provider_live,
-        depth_limit=_as_number(data, "depth_limit", 2, int),
-        denylist_path=resolve("denylist"),
-        fuzzy_threshold=_as_number(data, "fuzzy_threshold", 0.8),
-        noise_threshold=_as_number(data, "noise_threshold", 0.7),
-        extensions=extensions,
-        defang_extra=defang_extra,
-        retry_count=_as_number(data, "retry_count", 3, int),
-        retry_backoff=_as_number(data, "retry_backoff", 0.5),
-        max_workers=_as_number(data, "max_workers", 4, int),
-    )
+    for key in ("reports_dir", "store_path"):
+        if data.get(key) is None:
+            raise ConfigError(f"missing required setting {key!r}")
+        settings[key] = resolve(data[key])
+    if data.get("denylist") is not None:
+        settings["denylist_path"] = resolve(data["denylist"])
+    return PipelineConfig(**settings, **_numbers(data, _NUMBERS))

@@ -70,13 +70,10 @@ class Link(NamedTuple):
 
 @dataclass
 class CorrelationGraph:
-    """Events as nodes, joined through the values they share or resemble.
-
-    ``links`` is the graph's one built structure, one per shared value and
-    one per similar value pair; path search reads it, and ``edges``, every
-    linked event pair per value pair for DOT and JSON output, is expanded
-    from it. Each is built on first use.
-    """
+    """Events as nodes, joined through the values they share or resemble:
+    ``links``, one per shared value and one per similar value pair, and
+    ``sides``, their index by event, are built on first use. Path search
+    reads them, and :meth:`edges` streams the edges from them."""
 
     nodes: dict[int, tuple[str, str]]  # event id -> (kind, info)
     events: list[Event] = field(default_factory=list, repr=False)
@@ -94,11 +91,38 @@ class CorrelationGraph:
         return links
 
     @cached_property
-    def edges(self) -> list[Edge]:
-        return _edges(self.links)
+    def sides(self) -> dict[int, list[int]]:
+        """The sides each event is on, ascending: side 2i is ``links[i].left``
+        and 2i + 1 ``links[i].right``. An exact link's events are on side 2i
+        only, which faces itself; a fuzzy link's two sides face each other."""
+        on: dict[int, list[int]] = {}
+        for i, (kind, _, _, left, _, right, _) in enumerate(self.links):
+            for node in left:
+                on.setdefault(node, []).append(2 * i)
+            if kind == FUZZY:
+                for node in right:
+                    on.setdefault(node, []).append(2 * i + 1)
+        return on
+
+    def edges(self) -> Iterator[Edge]:
+        """Every linked event pair as an edge a < b, sorted, one node's row at
+        a time: a's partners b > a on the side each of a's sides faces, a
+        fuzzy link's values swapped when a is on its right side."""
+        links, on = self.links, self.sides
+        for a in sorted(on):
+            row = []
+            for side in on[a]:
+                kind, data_type, value_l, left, value_r, right, weight = links[side >> 1]
+                if side & 1:
+                    value_l, value_r, right = value_r, value_l, left
+                for b in right:
+                    if b > a:
+                        row.append(Edge(a, b, kind, data_type, value_l, value_r, weight))
+            row.sort()
+            yield from row
 
     def edge_count(self) -> int:
-        """``len(self.edges)``, counted from the links."""
+        """The number of edges :meth:`edges` yields, counted from the links."""
         return sum(
             comb(len(link.left), 2) if link.kind == EXACT
             else len(link.left) * len(link.right) - len(set(link.left) & set(link.right))
@@ -183,36 +207,21 @@ def _owners(events: list[Event], cross_set_only: bool = False) -> dict[tuple[str
     return {pair: tuple(ids) for pair, ids in owners.items()}
 
 
-def _edges(links: list[Link]) -> list[Edge]:
-    """Every event pair of ``links`` as an edge a < b, sorted; an event is
-    never linked to itself. A fuzzy pair's values are swapped with its ids;
-    an exact pair's are equal, so its clique yields each pair once."""
-    edges = []
-    for kind, data_type, value_l, left, value_r, right, weight in links:
-        for a in left:
-            for b in right:
-                if a < b:
-                    edges.append(Edge(a, b, kind, data_type, value_l, value_r, weight))
-                elif b < a and kind == FUZZY:
-                    edges.append(Edge(b, a, kind, data_type, value_r, value_l, weight))
-    edges.sort()
-    return edges
-
-
 def exact_edges(events: list[Event], *, cross_set_only: bool = False) -> list[Edge]:
     """One edge per event pair per identical (type, value).
 
     With ``cross_set_only`` the back-link comments are skipped: they connect
     an event set's own members, which is already known ground truth.
     """
-    return build_graph(events, GraphOptions(cross_set_only=cross_set_only)).edges
+    return list(build_graph(events, GraphOptions(cross_set_only=cross_set_only)).edges())
 
 
 def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD) -> list[Edge]:
-    """Similarity edges between distinct name-like values of the same type:
-    one per event pair across each pair of similar values (see
-    :func:`_similar_values`); an event is never linked to itself."""
-    return _edges(_similar_values(_owners(events), threshold))
+    """Similarity edges between distinct name-like values of the same type, one
+    per event pair across each pair of :func:`_similar_values`, none to itself."""
+    graph = CorrelationGraph({})
+    graph.links = _similar_values(_owners(events), threshold)
+    return list(graph.edges())
 
 
 def _similar_values(owners: dict[tuple[str, str], tuple[int, ...]], threshold: float) -> list[Link]:
@@ -274,9 +283,9 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
     """Shortest path by hop count; ties prefer the larger minimum edge weight
     along the path, then the smaller node-id sequence. None when disconnected.
 
-    The search runs over the graph's links, not its edges: a link side is a
-    tuple of events, and a node reaches every event of the side across each
-    of its links (the same side for an exact link), itself excepted.
+    The search runs over the graph's link sides, not its edges: a node
+    reaches every event of the side facing each side it is on (the same side
+    for an exact link), itself excepted.
     """
     if start not in graph.nodes:
         raise ValueError(f"unknown event id {start}")
@@ -285,24 +294,14 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
     if start == goal:
         return [start]
 
-    # An exact link has one side, facing itself; a fuzzy link two, facing
-    # each other. on[node] lists the sides a node is on.
-    sides: list[tuple[int, ...]] = []
-    facing: list[int] = []
-    weights: list[float] = []
-    for kind, _, _, left, _, right, weight in graph.links:
-        if kind == EXACT:
-            facing.append(len(sides))
-            sides.append(left)
-            weights.append(weight)
-        else:
-            facing += [len(sides) + 1, len(sides)]
-            sides += [left, right]
-            weights += [weight, weight]
-    on: dict[int, list[int]] = {}
-    for side, members in enumerate(sides):
-        for node in members:
-            on.setdefault(node, []).append(side)
+    links, on = graph.links, graph.sides
+
+    def facing(side: int) -> int:
+        return side if links[side >> 1].kind == EXACT else side ^ 1
+
+    def members(side: int) -> tuple[int, ...]:
+        link = links[side >> 1]
+        return link.right if side & 1 else link.left
 
     # Hop distances out from the goal, level by level, until the start; each
     # side is expanded once, by the first node to reach it.
@@ -314,10 +313,10 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
         level: list[int] = []
         for node in levels[-1]:
             for side in on.get(node, ()):
-                reached = facing[side]
+                reached = facing(side)
                 if reached not in expanded:
                     expanded.add(reached)
-                    for neighbor in sides[reached]:
+                    for neighbor in members(reached):
                         if neighbor not in distance:
                             distance[neighbor] = hops
                             level.append(neighbor)
@@ -335,9 +334,9 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
         for node in level:
             if hops:
                 reach[node] = max(
-                    min(weights[side], best[facing[side]])
+                    min(links[side >> 1].weight, best[facing(side)])
                     for side in on[node]
-                    if nearest.get(facing[side]) == hops - 1
+                    if nearest.get(facing(side)) == hops - 1
                 )
             for side in on[node]:
                 if side not in nearest:
@@ -354,8 +353,8 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
         path.append(min(
             neighbor
             for side in on[path[-1]]
-            if weights[side] >= target and nearest.get(facing[side]) == hops
-            for neighbor in sides[facing[side]]
+            if links[side >> 1].weight >= target and nearest.get(facing(side)) == hops
+            for neighbor in members(facing(side))
             if distance.get(neighbor) == hops and reach[neighbor] >= target
         ))
     return path
@@ -379,7 +378,7 @@ def graph_to_dot(graph: CorrelationGraph) -> Iterator[str]:
     for node_id in sorted(graph.nodes):
         kind, info = graph.nodes[node_id]
         yield f'  {node_id} [label="{_dot_escape(info)}" kind="{kind}"];\n'
-    for edge in graph.edges:
+    for edge in graph.edges():
         if edge.kind == EXACT:
             label = f"{edge.data_type}={edge.value_a}"
         else:
@@ -402,13 +401,13 @@ def graph_to_json(graph: CorrelationGraph) -> Iterator[str]:
             f'\n      "info": {_json_string(info)}\n    }}'
         )
         separator = ",\n"
-    yield '\n  ],\n  "edges": [' if graph.nodes else '],\n  "edges": ['
+    yield '],\n  "edges": [' if separator == "\n" else '\n  ],\n  "edges": ['
     separator = "\n"
-    for a, b, kind, data_type, value_a, value_b, weight in graph.edges:
+    for a, b, kind, data_type, value_a, value_b, weight in graph.edges():
         yield (
             f'{separator}    {{\n      "a": {a!r},\n      "b": {b!r},\n      "kind": {_json_string(kind)},'
             f'\n      "data_type": {_json_string(data_type)},\n      "value_a": {_json_string(value_a)},'
             f'\n      "value_b": {_json_string(value_b)},\n      "weight": {weight!r}\n    }}'
         )
         separator = ",\n"
-    yield "\n  ]\n}\n" if graph.edges else "]\n}\n"
+    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"

@@ -5,7 +5,6 @@ to the report it came from."""
 from __future__ import annotations
 
 import datetime as dt
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -31,8 +30,6 @@ ATTRIBUTE_TYPES = frozenset({
     "vulnerability", "registry", "filename", "pdb", "code-sign", "other",
     "comment",
 })
-
-_HASH_INFO_RE = re.compile(r"[0-9a-fA-F]+")
 
 
 @dataclass
@@ -152,10 +149,6 @@ def build_malware_event(
         ]
         date = fallback_date
     return Event(0, date, hash_value, MALWARE, attributes)
-
-
-def looks_like_hash(value: str) -> bool:
-    return bool(_HASH_INFO_RE.fullmatch(value)) and len(value) in (32, 40, 64)
 
 
 def event_to_document(event: Event) -> dict:

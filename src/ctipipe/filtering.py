@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .events import (
     ATTRIBUTE_TYPES,
+    Attribute,
     Event,
     EventSet,
     HASH_TYPES,
@@ -81,27 +82,25 @@ def load_denylist(path: str | Path) -> list[DenyRule]:
 
 def dedup_attributes(event: Event) -> Event:
     """Merge attributes equal on (type, value), keeping the first occurrence's
-    position and id and joining distinct non-empty comments with "; ".
+    position and id and joining distinct non-empty comments with "; ". An
+    attribute whose comment the join leaves as it is is kept, not copied.
 
     Duplicates across different events are deliberately left alone: shared
     values are the correlation signal.
     """
-    order: list[tuple[str, str]] = []
-    first: dict[tuple[str, str], int] = {}
-    comments: dict[tuple[str, str], list[str]] = {}
-    for position, attribute in enumerate(event.attributes):
+    merged: dict[tuple[str, str], tuple[Attribute, list[str]]] = {}
+    for attribute in event.attributes:
         key = (attribute.type, attribute.value)
-        if key not in first:
-            first[key] = position
-            order.append(key)
-            comments[key] = []
-        if attribute.comment and attribute.comment not in comments[key]:
-            comments[key].append(attribute.comment)
-    merged = []
-    for key in order:
-        attribute = replace(event.attributes[first[key]], comment="; ".join(comments[key]))
-        merged.append(attribute)
-    return replace(event, attributes=merged)
+        if key not in merged:
+            merged[key] = (attribute, [])
+        comments = merged[key][1]
+        if attribute.comment and attribute.comment not in comments:
+            comments.append(attribute.comment)
+    attributes = []
+    for attribute, comments in merged.values():
+        comment = "; ".join(comments)
+        attributes.append(attribute if comment == attribute.comment else replace(attribute, comment=comment))
+    return replace(event, attributes=attributes)
 
 
 def _protected(event: Event, attribute) -> bool:

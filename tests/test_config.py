@@ -1,8 +1,9 @@
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 
-from ctipipe.config import ConfigError, load_config
+from ctipipe.config import ConfigError, LiveProviderConfig, PipelineConfig, load_config
 from ctipipe.providers import FixtureProvider, HttpProvider
 
 
@@ -30,6 +31,21 @@ class TestKeyValueFormat:
         assert config.depth_limit == 2
         assert config.fuzzy_threshold == 0.8
         assert config.noise_threshold == 0.7
+
+    @pytest.mark.parametrize("text", [
+        BASE + LIVE,
+        json.dumps({"reports_dir": "reports", "store_path": "events.jsonl",
+                    "provider": {"base_url": "https://analysis.example.com/api", "api_key_env": "ANALYSIS_KEY"}}),
+    ], ids=["key-value", "json"])
+    def test_minimal_file_keeps_field_defaults(self, tmp_path, text):
+        # Every setting the file leaves out is the dataclass field's default.
+        config = load_config(write(tmp_path, text))
+        for source, cls in ((config, PipelineConfig), (config.provider_live, LiveProviderConfig)):
+            defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+            assert defaults
+            for name, default in defaults.items():
+                if name != "provider_live":
+                    assert getattr(source, name) == default, name
 
     def test_comments_and_blanks(self, tmp_path):
         config = load_config(write(tmp_path, "# top\n\n" + BASE))

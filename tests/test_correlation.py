@@ -110,6 +110,22 @@ def old_graph_key(e):
     return (e.a, e.b, e.kind, e.data_type, e.value_a, e.value_b)
 
 
+def expanded_edges(links):
+    """Every event pair of ``links`` as an edge a < b, expanded into one list
+    and sorted whole, as the graph built its edges before they were streamed
+    row by row: the oracle for CorrelationGraph.edges."""
+    edges = []
+    for kind, data_type, value_l, left, value_r, right, weight in links:
+        for a in left:
+            for b in right:
+                if a < b:
+                    edges.append(Edge(a, b, kind, data_type, value_l, value_r, weight))
+                elif b < a and kind == FUZZY:
+                    edges.append(Edge(b, a, kind, data_type, value_r, value_l, weight))
+    edges.sort()
+    return edges
+
+
 def old_graph_to_json(graph):
     return {
         "nodes": [
@@ -126,7 +142,7 @@ def old_graph_to_json(graph):
                 "value_b": e.value_b,
                 "weight": e.weight,
             }
-            for e in graph.edges
+            for e in graph.edges()
         ],
     }
 
@@ -144,7 +160,7 @@ def old_graph_to_dot(graph):
     for node_id in sorted(graph.nodes):
         kind, info = graph.nodes[node_id]
         lines.append(f'  {node_id} [label="{old_dot_escape(info)}" kind="{kind}"];')
-    for edge in graph.edges:
+    for edge in graph.edges():
         if edge.kind == EXACT:
             label = f"{edge.data_type}={edge.value_a}"
         else:
@@ -368,8 +384,9 @@ class TestFuzzyEdges:
             event(2, [("hostname", "bartsimpson.com"), ("other", "shared")]),
         ]
         graph = build_graph(events, GraphOptions(fuzzy=True, threshold=0.5))
-        pairs_exact = {(e.a, e.b, e.value_a, e.value_b) for e in graph.edges if e.kind == EXACT}
-        pairs_fuzzy = {(e.a, e.b, e.value_a, e.value_b) for e in graph.edges if e.kind == FUZZY}
+        edges = list(graph.edges())
+        pairs_exact = {(e.a, e.b, e.value_a, e.value_b) for e in edges if e.kind == EXACT}
+        pairs_fuzzy = {(e.a, e.b, e.value_a, e.value_b) for e in edges if e.kind == FUZZY}
         assert pairs_exact and not pairs_exact & pairs_fuzzy
 
 
@@ -392,7 +409,7 @@ class TestFuzzyScoredOnce:
         calls.clear()
         graph = build_graph(events, GraphOptions(fuzzy=True, threshold=0.8))
         find_path(graph, 1, 2)
-        assert [e for e in graph.edges if e.kind == FUZZY] == expected
+        assert [e for e in graph.edges() if e.kind == FUZZY] == expected
         graph.edge_count()
         assert len(calls) == scored
 
@@ -454,7 +471,7 @@ class TestEdgeOrder:
             edges = exact + fuzzy
         options = GraphOptions(fuzzy=threshold is not None, threshold=threshold or 0.8, cross_set_only=cross_set_only)
         graph = build_graph(events, options)
-        assert graph.edges == sorted(edges[::-1], key=old_graph_key)
+        assert list(graph.edges()) == sorted(edges[::-1], key=old_graph_key)
         # Compared as text: JSON output depends on key order, dict equality does not.
         assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
         assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
@@ -509,12 +526,12 @@ def weighted_graph(nodes, links):
 def edge_list_path(graph, start, goal):
     """find_path as it ran over the edge list before links: the oracle for
     the link search. Adjacency and the heaviest weight per pair come from
-    graph.edges."""
+    graph.edges()."""
     if start == goal:
         return [start]
     weight = {}
     adjacency = {node: set() for node in graph.nodes}
-    for a, b, _, _, _, _, w in graph.edges:
+    for a, b, _, _, _, _, w in graph.edges():
         adjacency[a].add(b)
         adjacency[b].add(a)
         weight[a, b] = max(weight.get((a, b), 0.0), w)
@@ -604,7 +621,7 @@ class TestPaths:
             event(4, [("other", "mid-link"), ("other", "right-link")]),
         ]
         graph = build_graph(events, GraphOptions(fuzzy=True, threshold=0.8))
-        fuzzy = [e for e in graph.edges if e.kind == FUZZY]
+        fuzzy = [e for e in graph.edges() if e.kind == FUZZY]
         assert [(e.a, e.b) for e in fuzzy] == [(1, 2)]
         path = find_path(graph, 1, 4)
         assert path == [1, 3, 4]
@@ -645,7 +662,7 @@ class TestPaths:
             events = [random_event(rng, i) for i in range(1, rng.randint(3, 10))]
             graph = build_graph(events)
             adjacency = {}
-            for e in graph.edges:
+            for e in graph.edges():
                 adjacency.setdefault(e.a, set()).add(e.b)
                 adjacency.setdefault(e.b, set()).add(e.a)
             ids = [e.id for e in events]
@@ -690,9 +707,9 @@ class TestLinkSearch:
     @given(_graph_events, options)
     @settings(max_examples=300)
     def test_edges_match_brute_force(self, events, options):
-        # Every edge comes from the one expansion of the links: it must be
-        # the pairwise exact oracle plus, with fuzzy, the pairwise fuzzy one,
-        # each pair once.
+        # Every edge comes from the row-by-row walk of the link sides: it must
+        # be the whole-list expansion of the links and the pairwise exact
+        # oracle plus, with fuzzy, the pairwise fuzzy one, each pair once.
         graph = build_graph(events, options)
         expected = {
             Edge(a, b, EXACT, data_type, value, value, 1.0)
@@ -700,18 +717,19 @@ class TestLinkSearch:
         }
         if options.fuzzy:
             expected.update(pairwise_fuzzy_edges(events, options.threshold))
-        assert graph.edges == sorted(expected)
+        edges = list(graph.edges())
+        assert edges == expanded_edges(graph.links) == sorted(expected)
         assert exact_edges(events, cross_set_only=options.cross_set_only) == [
-            e for e in graph.edges if e.kind == EXACT
+            e for e in edges if e.kind == EXACT
         ]
         if options.fuzzy:
-            assert fuzzy_edges(events, options.threshold) == [e for e in graph.edges if e.kind == FUZZY]
+            assert fuzzy_edges(events, options.threshold) == [e for e in edges if e.kind == FUZZY]
 
     @given(_graph_events, options)
     @settings(max_examples=300)
     def test_edge_count_matches_edge_list(self, events, options):
         graph = build_graph(events, options)
-        assert graph.edge_count() == len(graph.edges)
+        assert graph.edge_count() == len(list(graph.edges()))
 
     def test_matches_edge_list_search_on_random_links(self):
         # Links drawn directly, with sides of several events and mixed
@@ -729,14 +747,15 @@ class TestLinkSearch:
                 else:
                     right = tuple(rng.sample(nodes, rng.randint(1, min(4, len(nodes)))))
                     graph.links.append(Link(FUZZY, "other", "x", left, "y", right, weight))
-            oracle = CorrelationGraph(graph.nodes)
-            oracle.edges = sorted(
+            edges = sorted(
                 Edge(min(a, b), max(a, b), kind, "other", "", "", weight)
                 for kind, _, _, left, _, right, weight in graph.links
                 for a in left
                 for b in right
                 if a != b
             )
+            oracle = CorrelationGraph(graph.nodes)
+            oracle.edges = lambda: iter(edges)
             for start, goal in itertools.product(nodes, repeat=2):
                 assert find_path(graph, start, goal) == edge_list_path(oracle, start, goal), (graph.links, start, goal)
 
@@ -746,10 +765,13 @@ class TestLinkSearch:
         assert graph.links == [Link(EXACT, "ip-src", "7.7.7.7", (1, 2, 3), "7.7.7.7", (1, 2, 3), 1.0)]
         assert graph.edge_count() == 3
 
-    def test_path_query_builds_no_edges(self):
+    def test_path_query_builds_no_edges(self, monkeypatch):
+        def no_edges(graph):
+            raise AssertionError("a path query made an edge")
+
+        monkeypatch.setattr(CorrelationGraph, "edges", no_edges)
         graph = build_graph(TestPaths().lazarus_events())
         assert find_path(graph, 1, 3) == [1, 2, 3]
-        assert "edges" not in vars(graph)
 
 
 class TestTimeline:
@@ -818,7 +840,7 @@ _weights = st.one_of(
 
 def _graph_with(nodes, edges):
     graph = CorrelationGraph(nodes)
-    graph.edges = edges
+    graph.edges = lambda: iter(edges)
     return graph
 
 
@@ -857,11 +879,12 @@ class TestStreamedText:
         assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
 
     def test_streams_in_bounded_memory(self, tmp_path):
-        # 317 events sharing one value: C(317, 2) = 50 086 exact edges. The
-        # edge list is built before tracing; writing the file then holds a
-        # chunk at a time, not a dict per edge or the whole text.
+        # 317 events sharing one value: C(317, 2) = 50 086 exact edges. Only
+        # the links are built before tracing; writing the file then holds one
+        # node's row of edges and a chunk at a time, not the edge list, a
+        # dict per edge or the whole text.
         graph = build_graph([event(event_id, [("other", "shared")]) for event_id in range(1, 318)])
-        assert len(graph.edges) == 50_086
+        assert graph.edge_count() == 50_086
         path = tmp_path / "graph.json"
         tracemalloc.start()
         try:

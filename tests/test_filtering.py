@@ -1,5 +1,6 @@
 import datetime as dt
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,61 @@ def event_set(index, values, type_token="other"):
     return EventSet(title, report_event(index, title, values, type_token))
 
 
+def ordered_dedup(event):
+    """dedup_attributes as it was before one dict held each pair's first
+    attribute and comments: an order list, first positions and a copy of
+    every kept attribute. The oracle for the single-dict merge."""
+    order = []
+    first = {}
+    comments = {}
+    for position, attribute in enumerate(event.attributes):
+        key = (attribute.type, attribute.value)
+        if key not in first:
+            first[key] = position
+            order.append(key)
+            comments[key] = []
+        if attribute.comment and attribute.comment not in comments[key]:
+            comments[key].append(attribute.comment)
+    merged = []
+    for key in order:
+        attribute = replace(event.attributes[first[key]], comment="; ".join(comments[key]))
+        merged.append(attribute)
+    return replace(event, attributes=merged)
+
+
+# Attributes over a small vocabulary, so (type, value) pairs and comments
+# recur within one event, and a comment can already hold a join.
+_dedup_events = st.builds(
+    lambda kind, attributes: Event(1, DATE, "r.pdf", kind, attributes),
+    st.sampled_from([REPORT, MALWARE]),
+    st.lists(
+        st.builds(
+            Attribute,
+            st.sampled_from(["Other", "External analysis"]),
+            st.sampled_from(["", "a", "b", "a; b", "b; a"]),
+            st.sampled_from(["x", "y", "X"]),
+            st.sampled_from(["other", "filename"]),
+            st.integers(0, 3),
+        ),
+        max_size=8,
+    ),
+)
+
+
 class TestDedup:
+    @given(_dedup_events)
+    @settings(max_examples=400)
+    def test_matches_ordered_oracle(self, event):
+        assert dedup_attributes(event) == ordered_dedup(event)
+
+    def test_matches_ordered_oracle_on_random_events(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            event = random_event(rng)
+            event.attributes += [replace(a, comment=rng.choice(["", "sandbox", a.comment])) for a in event.attributes]
+            rng.shuffle(event.attributes)
+            assert dedup_attributes(event) == ordered_dedup(event)
+
     def test_exact_duplicate_merged(self):
         event = Event(1, DATE, "r.pdf", REPORT, [
             Attribute("External analysis", "", "zhcat.exe", "filename", 10),
