@@ -18,29 +18,19 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .analytics import categories_to_csv, categories_to_text, compute_stat_tables
+# Each command imports the stage modules it runs, so a process loads only
+# what its command uses: a path query never loads enrichment or statistics.
 from .config import ConfigError, PipelineConfig, load_config
-from .correlation import GraphOptions, build_graph, find_path, graph_to_dot, graph_to_json
-from .enrichment import EnrichmentResult, enrich_transitively, replay_closure
 from .events import (
     MALWARE,
     REPORT,
     build_malware_event,
     build_report_event,
-    event_to_document,
+    event_to_json,
     group_event_sets,
     report_hashes,
 )
 from .extraction import extract_indicators, normalize_defanged
-from .filtering import (
-    DEFAULT_DENYLIST,
-    DenylistError,
-    apply_denylist,
-    contextual_noise_scores,
-    dedup_attributes,
-    drop_values,
-    load_denylist,
-)
 from .providers import AnalysisDataError, ProviderError
 from .store import EventStore, StoreError, atomic_write, load_all
 
@@ -122,6 +112,8 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
 
 
 def _cmd_enrich(config: PipelineConfig, args) -> int:
+    from .enrichment import EnrichmentResult, enrich_transitively, replay_closure
+
     provider = config.make_provider()
     store = EventStore(config.store_path)
     events = store.events()
@@ -160,6 +152,15 @@ def _cmd_enrich(config: PipelineConfig, args) -> int:
 
 
 def _cmd_filter(config: PipelineConfig, args) -> int:
+    from .filtering import (
+        DEFAULT_DENYLIST,
+        apply_denylist,
+        contextual_noise_scores,
+        dedup_attributes,
+        drop_values,
+        load_denylist,
+    )
+
     store = EventStore(config.store_path)
     events = store.events()
     if not events:
@@ -187,6 +188,9 @@ def _cmd_filter(config: PipelineConfig, args) -> int:
 
 
 def _cmd_stats(config: PipelineConfig, args) -> int:
+    from .analytics import categories_to_csv, categories_to_text, compute_stat_tables
+    from .enrichment import EnrichmentResult
+
     events = load_all(config.store_path)
     if not events:
         raise StoreError(f"{config.store_path} is empty")
@@ -215,6 +219,8 @@ def _cmd_stats(config: PipelineConfig, args) -> int:
 
 
 def _cmd_correlate(config: PipelineConfig, args) -> int:
+    from .correlation import GraphOptions, build_graph, find_path, graph_to_dot, graph_to_json
+
     events = load_all(config.store_path)
     if not events:
         raise StoreError(f"{config.store_path} is empty")
@@ -242,10 +248,7 @@ def _cmd_export(config: PipelineConfig, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for event in events:
-        document = event_to_document(event)
-        (out / f"event_{event.id:05d}.json").write_text(
-            json.dumps(document, indent=2) + "\n", encoding="utf-8"
-        )
+        (out / f"event_{event.id:05d}.json").write_text(event_to_json(event), encoding="utf-8")
     print(f"exported {len(events)} documents to {out}")
     return 0
 
@@ -308,7 +311,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
             f.name: getattr(args, f.name) for f in fields(config) if getattr(args, f.name, None) is not None
         })
         return args.func(config, args)
-    except (ConfigError, DenylistError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StoreError, AnalysisDataError, ProviderError, ValueError, OSError) as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -264,6 +263,10 @@ def enrich_transitively(
     seed_set = {h.lower() for h in seeds}
     for seed in seed_set:
         classify_hash(seed)
+
+    # Imported here so that reading enrichment results (stats) does not load
+    # the thread pool.
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING
 
 from .extraction import Indicator, IndicatorKind, classify_hash
@@ -168,6 +169,24 @@ def event_to_document(event: Event) -> dict:
             for a in event.attributes
         ],
     }
+
+
+def event_to_json(event: Event) -> str:
+    """``json.dumps(event_to_document(event), indent=2) + "\\n"``, written
+    directly: the standard encoder indents in pure Python."""
+    attributes = ",".join(
+        f'\n    {{\n      "category": {_json_string(a.category)},'
+        f'\n      "comment": {_json_string(a.comment)},'
+        f'\n      "value": {_json_string(a.value)},'
+        f'\n      "type": {_json_string(a.type)},'
+        f'\n      "id": {a.id!r}\n    }}'
+        for a in event.attributes
+    )
+    close = "\n  ]" if attributes else "]"
+    return (
+        f'{{\n  "id": {event.id!r},\n  "date": {_json_string(event.date.isoformat())},'
+        f'\n  "info": {_json_string(event.info)},\n  "Attribute": [{attributes}{close}\n}}\n'
+    )
 
 
 def document_to_event(document: dict) -> Event:

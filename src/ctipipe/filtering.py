@@ -15,6 +15,7 @@ from fnmatch import fnmatchcase
 from itertools import combinations
 from pathlib import Path
 
+from .config import ConfigError
 from .events import (
     ATTRIBUTE_TYPES,
     Attribute,
@@ -26,8 +27,9 @@ from .events import (
 )
 
 
-class DenylistError(Exception):
-    """Raised at load time for a malformed denylist pattern."""
+class DenylistError(ConfigError):
+    """Raised at load time for a malformed denylist pattern: the denylist is
+    part of the configuration, so the CLI reports it as a config error."""
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,13 @@ class DenyRule:
     type_scope: str | None = None
 
     def matches(self, attribute_type: str, value: str) -> bool:
-        if self.type_scope is not None and attribute_type != self.type_scope:
-            return False
-        return fnmatchcase(value.lower(), self.pattern.lower())
+        return _rule_matches(self.type_scope, self.pattern.lower(), attribute_type, value.lower())
+
+
+def _rule_matches(type_scope: str | None, pattern: str, attribute_type: str, value: str) -> bool:
+    """The denylist match rule, over a lowercased pattern and value: the
+    rule is unscoped or scoped to the attribute's type, and the glob matches."""
+    return (type_scope is None or attribute_type == type_scope) and fnmatchcase(value, pattern)
 
 
 # Files the OS produces regardless of what the malware intended.
@@ -112,11 +118,17 @@ def _protected(event: Event, attribute) -> bool:
 
 
 def apply_denylist(event: Event, denylist: list[DenyRule]) -> Event:
-    kept = [
-        a
-        for a in event.attributes
-        if _protected(event, a) or not any(rule.matches(a.type, a.value) for rule in denylist)
-    ]
+    """Drop the unprotected attributes some rule matches, by the rule
+    :meth:`DenyRule.matches` applies; each pattern and each value is
+    lowercased once, not once per (attribute, rule) pair."""
+    rules = [(rule.type_scope, rule.pattern.lower()) for rule in denylist]
+    kept = []
+    for a in event.attributes:
+        if not _protected(event, a):
+            value = a.value.lower()
+            if any(_rule_matches(scope, pattern, a.type, value) for scope, pattern in rules):
+                continue
+        kept.append(a)
     return replace(event, attributes=kept)
 
 

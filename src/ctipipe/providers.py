@@ -7,19 +7,13 @@ provider targets a live repository with the same document schema.
 
 from __future__ import annotations
 
-import http.client
 import json
-import logging
 import math
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Protocol
-
-log = logging.getLogger(__name__)
 
 # Seconds to wait for a live provider's response.
 REQUEST_TIMEOUT = 30.0
@@ -94,6 +88,12 @@ class HttpProvider:
             self._last_request = time.monotonic()
 
     def fetch(self, hash_value: str) -> dict | None:
+        # Imported here, not with the module: only a live provider needs the
+        # HTTP stack, and it loads ssl, socket and email.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         self._throttle()
         url = f"{self.base_url}/{hash_value.lower()}"
         request = urllib.request.Request(url)

@@ -2,8 +2,11 @@
 seeded random generators for property-style tests."""
 
 import datetime as dt
+import os
 import random
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,13 @@ def write_config(tmp_path: Path, reports_dir: Path, provider: Path | None = None
     path = tmp_path / "pipeline.conf"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def run_python(*arguments):
+    """A fresh interpreter with this checkout's ``src`` first on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *arguments], env=env, capture_output=True, text=True, timeout=60)
 
 
 _VALUE_CHARS = string.ascii_letters + string.digits + "._-"

@@ -1,9 +1,7 @@
 import errno
 import io
 import json
-import os
 import socket
-import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +12,9 @@ from ctipipe.events import MALWARE, REPORT, document_to_event
 from ctipipe.providers import FixtureProvider
 from ctipipe.store import load_all
 
-from conftest import CLEAVER_MD5, CLEAVER_SHA1, CLEAVER_TITLE, DATA_DIR, GOLDEN_DIR, LAZARUS_DIR, write_config
+from conftest import (
+    CLEAVER_MD5, CLEAVER_SHA1, CLEAVER_TITLE, DATA_DIR, GOLDEN_DIR, LAZARUS_DIR, run_python, write_config,
+)
 
 
 @pytest.fixture
@@ -94,13 +94,6 @@ def closed_port():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
-
-
-def run_python(*arguments):
-    """A fresh interpreter with this checkout's ``src`` first on the path."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *arguments], env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestUsage:

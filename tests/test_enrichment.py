@@ -1,10 +1,12 @@
 import datetime as dt
+import http.client
 import json
 import logging
 import random
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -452,6 +454,27 @@ class TestProviders:
         monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
         with pytest.raises(ProviderError, match="failed"):
             HttpProvider(raw_server(reply), "CTIPIPE_TEST_KEY", rate_limit=1000).fetch(A)
+
+    def test_http_provider_used_from_worker_threads(self, scripted_server, raw_server, monkeypatch):
+        # Built on this thread, fetched from pool workers.
+        monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")
+        busy, _ = scripted_server([(503, {"Retry-After": "3"}, b"")])
+        truncated = raw_server(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            refused = f"http://127.0.0.1:{sock.getsockname()[1]}/api"
+        providers = [HttpProvider(url, "CTIPIPE_TEST_KEY", rate_limit=1000) for url in (busy, truncated, refused)]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(provider.fetch, A) for provider in providers]
+        errors = []
+        for future in futures:
+            with pytest.raises(ProviderError) as caught:
+                future.result()
+            errors.append(caught.value)
+        assert errors[0].retry_after == 3.0
+        assert isinstance(errors[1].__cause__, http.client.HTTPException)
+        assert isinstance(errors[2].__cause__, OSError)
+        assert errors[1].retry_after is None and errors[2].retry_after is None
 
     def test_http_provider_keeps_key_from_redirect_target(self, scripted_server, monkeypatch):
         monkeypatch.setenv("CTIPIPE_TEST_KEY", "sekrit")

@@ -1,7 +1,10 @@
 import datetime as dt
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctipipe.enrichment import AnalysisRecord
 from ctipipe.events import (
@@ -14,6 +17,7 @@ from ctipipe.events import (
     build_report_event,
     document_to_event,
     event_to_document,
+    event_to_json,
     group_event_sets,
     is_back_link,
     report_hashes,
@@ -183,6 +187,44 @@ class TestDocuments:
         document = {"id": 1, "date": "2014-12-03", "info": "t.pdf", "Attribute": [{"value": "x"}]}
         with pytest.raises(ValueError, match="malformed attribute"):
             document_to_event(document)
+
+
+# Text with what JSON escapes: quotes, backslashes, control characters,
+# non-ASCII (including astral and lone surrogate code points).
+_json_text = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "€", "\U0001f600", "\ud800", "a"])),
+)
+_json_events = st.builds(
+    Event,
+    st.integers(-(2**70), 2**70),
+    st.dates(),
+    _json_text,
+    st.sampled_from([REPORT, MALWARE]),
+    st.lists(st.builds(Attribute, _json_text, _json_text, _json_text, _json_text, st.integers(-(2**70), 2**70))),
+)
+
+
+def dumped_event(event):
+    """The export document as the standard encoder writes it."""
+    return json.dumps(event_to_document(event), indent=2) + "\n"
+
+
+class TestEventJson:
+    @given(_json_events)
+    def test_matches_standard_encoder(self, event):
+        assert event_to_json(event) == dumped_event(event)
+
+    def test_zero_attribute_event(self):
+        text = event_to_json(Event(1, CLEAVER_DATE, "t.pdf", REPORT, []))
+        assert '\n  "Attribute": []\n}\n' in text
+        assert text == dumped_event(Event(1, CLEAVER_DATE, "t.pdf", REPORT, []))
+
+    def test_matches_standard_encoder_on_random_events(self):
+        rng = random.Random(20261018)
+        for event_id in range(1, 60):
+            event = random_event(rng, event_id)
+            assert event_to_json(event) == dumped_event(event)
 
 
 class TestReportHashes:

@@ -1,12 +1,13 @@
 import datetime as dt
 import random
 from dataclasses import replace
+from fnmatch import fnmatchcase
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT, distinct_pairs, jaccard
+from ctipipe.events import Attribute, Event, EventSet, HASH_TYPES, MALWARE, REPORT, distinct_pairs, jaccard
 from ctipipe.filtering import (
     DEFAULT_DENYLIST,
     DenyRule,
@@ -140,7 +141,55 @@ class TestDedup:
             assert len(after) == len(set(after))
 
 
+def pairwise_matches(rule, attribute_type, value):
+    """DenyRule.matches as it was when apply_denylist called it for every
+    (attribute, rule) pair, lowercasing both each time."""
+    if rule.type_scope is not None and attribute_type != rule.type_scope:
+        return False
+    return fnmatchcase(value.lower(), rule.pattern.lower())
+
+
+def pairwise_denylist(event, rules):
+    """apply_denylist over pairwise_matches: the oracle for lowercasing each
+    value and pattern once."""
+    kept = [
+        a for a in event.attributes
+        if a.type == "comment"
+        or (event.kind == MALWARE and a.type in HASH_TYPES)
+        or not any(pairwise_matches(rule, a.type, a.value) for rule in rules)
+    ]
+    return replace(event, attributes=kept)
+
+
+_deny_types = st.sampled_from(["filename", "other", "md5", "comment"])
+_deny_events = st.builds(
+    lambda kind, attributes: Event(1, DATE, "r.pdf", kind, attributes),
+    st.sampled_from([REPORT, MALWARE]),
+    st.lists(
+        st.builds(
+            Attribute,
+            st.just("Other"),
+            st.just(""),
+            st.text(st.sampled_from("aAbB.*?[]İß"), max_size=6),
+            _deny_types,
+        ),
+        max_size=8,
+    ),
+)
+_deny_rules = st.lists(
+    st.builds(DenyRule, st.text(st.sampled_from("aAbB.*?[]!İß"), min_size=1, max_size=5), st.none() | _deny_types),
+    max_size=4,
+)
+
+
 class TestDenylist:
+    @given(_deny_events, _deny_rules)
+    def test_matches_pairwise_oracle(self, event, rules):
+        assert apply_denylist(event, rules) == pairwise_denylist(event, rules)
+        for rule in rules:
+            for a in event.attributes:
+                assert rule.matches(a.type, a.value) == pairwise_matches(rule, a.type, a.value)
+
     def test_literal_match_removed(self):
         event = Event(1, DATE, "r.pdf", REPORT, [
             Attribute("External analysis", "", "desktop.ini", "filename"),
