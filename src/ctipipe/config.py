@@ -68,6 +68,8 @@ class PipelineConfig:
                 raise ConfigError(f"extensions: {exc}") from exc
         live = self.provider_live
         if live is not None:
+            if not isinstance(live.api_key_env, str) or not live.api_key_env:
+                raise ConfigError(f"provider.api_key_env must name an environment variable, got {live.api_key_env!r}")
             if not 0.0 < live.rate_limit < math.inf:
                 raise ConfigError(f"provider.rate_limit must be finite and > 0, got {live.rate_limit}")
             try:
@@ -120,16 +122,21 @@ _NUMBERS = {
 
 
 def _numbers(data: dict, kinds: dict[str, type]) -> dict:
-    """The settings of ``kinds`` that ``data`` sets, each parsed as its kind."""
+    """The settings of ``kinds`` that ``data`` sets, each parsed as its kind.
+    A JSON boolean is no number, and an integer setting takes no fraction:
+    ``int()`` and ``float()`` would read ``true`` as 1 and cut 2.7 to 2."""
     numbers = {}
     for key, kind in kinds.items():
         if key not in data:
             continue
+        value = data[key]
+        expected = "an integer" if kind is int else "a number"
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}")
         try:
-            numbers[key] = kind(data[key])
+            numbers[key] = kind(value)
         except (TypeError, ValueError) as exc:
-            expected = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key}: expected {expected}, got {data[key]!r}") from exc
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from exc
     return numbers
 
 

@@ -9,6 +9,7 @@ domain label, basename without extension, or the lowercased string).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
@@ -53,11 +54,11 @@ class GraphOptions:
 class Link(NamedTuple):
     """Every event pair that one value, or one similar value pair, links.
 
-    An exact link is a clique: each two of ``left`` share ``value_left``;
-    ``right`` is the same ascending tuple and ``value_right`` the same value.
-    A fuzzy link is a biclique: each event of ``left``, which holds
-    ``value_left``, to each other event of ``right``, which holds
-    ``value_right``."""
+    ``left`` and ``right`` are ascending tuples of distinct event ids. An
+    exact link is a clique: each two of ``left`` share ``value_left``;
+    ``right`` is the same tuple and ``value_right`` the same value. A fuzzy
+    link is a biclique: each event of ``left``, which holds ``value_left``,
+    to each other event of ``right``, which holds ``value_right``."""
 
     kind: str
     data_type: str
@@ -73,7 +74,8 @@ class CorrelationGraph:
     """Events as nodes, joined through the values they share or resemble:
     ``links``, one per shared value and one per similar value pair, and
     ``sides``, their index by event, are built on first use. Path search
-    reads them, and :meth:`edges` streams the edges from them."""
+    reads them; :meth:`rows` streams the edges from them as ints, which
+    :meth:`edges` and the writers decode through ``ranked_sides``."""
 
     nodes: dict[int, tuple[str, str]]  # event id -> (kind, info)
     events: list[Event] = field(default_factory=list, repr=False)
@@ -104,22 +106,55 @@ class CorrelationGraph:
                     on.setdefault(node, []).append(2 * i + 1)
         return on
 
-    def edges(self) -> Iterator[Edge]:
-        """Every linked event pair as an edge a < b, sorted, one node's row at
-        a time: a's partners b > a on the side each of a's sides faces, a
-        fuzzy link's values swapped when a is on its right side."""
-        links, on = self.links, self.sides
+    @cached_property
+    def ranked_sides(self) -> list[tuple[str, str, str, str, float, int]]:
+        """Every side that gives one of its events an edge to a larger id, as
+        the fields after ``a`` and ``b`` of the edges from it, ``(kind,
+        data_type, value_a, value_b, weight)`` (a fuzzy link's values swapped
+        on its right side), then the side. Sorted: a side's place here is its
+        rank, and equal fields keep the side order."""
+        ranked = []
+        for i, (kind, data_type, value_l, left, value_r, right, weight) in enumerate(self.links):
+            if left[0] < right[-1]:
+                ranked.append((kind, data_type, value_l, value_r, weight, 2 * i))
+            if kind == FUZZY and right[0] < left[-1]:
+                ranked.append((kind, data_type, value_r, value_l, weight, 2 * i + 1))
+        ranked.sort()
+        return ranked
+
+    def rows(self) -> Iterator[tuple[int, list[int]]]:
+        """Each event ``a`` with an edge to a larger id, ascending, and its
+        row: one int ``b * n + rank`` per edge (a, b), where ``n`` is
+        ``len(ranked_sides)`` and ``rank`` that of the side of ``a`` the edge
+        comes from. Each row is sorted, which is the :class:`Edge` order.
+
+        A ranked side's codes, one per event of the side it faces, are made
+        once; ``a``'s part of them is the ascending suffix after ``a``."""
+        links, on, ranked = self.links, self.sides, self.ranked_sides
+        n = len(ranked)
+        coded: list[list[int]] = [[]] * (2 * len(links))
+        for rank, (*_, side) in enumerate(ranked):
+            link = links[side >> 1]
+            coded[side] = [b * n + rank for b in (link.left if side & 1 else link.right)]
         for a in sorted(on):
-            row = []
+            first = (a + 1) * n  # the least code of a b > a
+            row: list[int] = []
             for side in on[a]:
-                kind, data_type, value_l, left, value_r, right, weight = links[side >> 1]
-                if side & 1:
-                    value_l, value_r, right = value_r, value_l, left
-                for b in right:
-                    if b > a:
-                        row.append(Edge(a, b, kind, data_type, value_l, value_r, weight))
-            row.sort()
-            yield from row
+                codes = coded[side]
+                row += codes[bisect_left(codes, first):]
+            if row:
+                row.sort()
+                yield a, row
+
+    def edges(self) -> Iterator[Edge]:
+        """Every linked event pair as an edge a < b, decoded from
+        :meth:`rows` in their order."""
+        n = len(self.ranked_sides)
+        fields = [ranked[:5] for ranked in self.ranked_sides]
+        for a, row in self.rows():
+            for code in row:
+                b, rank = divmod(code, n)
+                yield Edge(a, b, *fields[rank])
 
     def edge_count(self) -> int:
         """The number of edges :meth:`edges` yields, counted from the links."""
@@ -373,26 +408,31 @@ def _dot_escape(text: str) -> str:
 
 
 def graph_to_dot(graph: CorrelationGraph) -> Iterator[str]:
-    """The graph in DOT, one line per chunk."""
+    """The graph in DOT, one node per chunk and one event's row of edges
+    per chunk."""
     yield "graph correlation {\n"
     for node_id in sorted(graph.nodes):
         kind, info = graph.nodes[node_id]
         yield f'  {node_id} [label="{_dot_escape(info)}" kind="{kind}"];\n'
-    for edge in graph.edges():
-        if edge.kind == EXACT:
-            label = f"{edge.data_type}={edge.value_a}"
-        else:
-            label = f"{edge.data_type}≈{edge.weight:.3f}"
-        yield f'  {edge.a} -- {edge.b} [label="{_dot_escape(label)}"];\n'
+
+    labels = [
+        f"{data_type}={value_a}" if kind == EXACT else f"{data_type}≈{weight:.3f}"
+        for kind, data_type, value_a, _, weight, _ in graph.ranked_sides
+    ]
+    labels = [f' [label="{_dot_escape(label)}"];\n' for label in labels]
+    n = len(labels)
+    for a, row in graph.rows():
+        yield "".join([f"  {a} -- {code // n}{labels[code % n]}" for code in row])
     yield "}\n"
 
 
 def graph_to_json(graph: CorrelationGraph) -> Iterator[str]:
     """The graph as ``json.dumps(..., indent=2) + "\\n"`` of ``{"nodes":
     [{id, kind, info}], "edges": [Edge fields]}``, byte for byte, one node or
-    edge per chunk, so no dict per edge and no whole document is held.
-    Strings are escaped as ``json.dumps`` escapes them (ASCII only) and
-    numbers written with ``repr``, as ``json.dumps`` writes them."""
+    one event's row of edges per chunk, so no dict per edge and no whole
+    document is held. Strings are escaped as ``json.dumps`` escapes them
+    (ASCII only) and numbers written with ``repr``, as ``json.dumps`` writes
+    them. Everything of an edge after its ``b`` is its side's, encoded once."""
     yield '{\n  "nodes": ['
     separator = "\n"
     for node_id, (kind, info) in sorted(graph.nodes.items()):
@@ -402,12 +442,17 @@ def graph_to_json(graph: CorrelationGraph) -> Iterator[str]:
         )
         separator = ",\n"
     yield '],\n  "edges": [' if separator == "\n" else '\n  ],\n  "edges": ['
+
+    tails = [
+        f',\n      "kind": {_json_string(kind)},\n      "data_type": {_json_string(data_type)},'
+        f'\n      "value_a": {_json_string(value_a)},\n      "value_b": {_json_string(value_b)},'
+        f'\n      "weight": {weight!r}\n    }}'
+        for kind, data_type, value_a, value_b, weight, _ in graph.ranked_sides
+    ]
+    n = len(tails)
     separator = "\n"
-    for a, b, kind, data_type, value_a, value_b, weight in graph.edges():
-        yield (
-            f'{separator}    {{\n      "a": {a!r},\n      "b": {b!r},\n      "kind": {_json_string(kind)},'
-            f'\n      "data_type": {_json_string(data_type)},\n      "value_a": {_json_string(value_a)},'
-            f'\n      "value_b": {_json_string(value_b)},\n      "weight": {weight!r}\n    }}'
-        )
+    for a, row in graph.rows():
+        head = f'    {{\n      "a": {a!r},\n      "b": '
+        yield separator + head + (",\n" + head).join([f"{code // n}{tails[code % n]}" for code in row])
         separator = ",\n"
     yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"

@@ -119,6 +119,9 @@ class TestKeyValueFormat:
         pytest.param(live("http://[::1/api"), id="provider.base_url with an unclosed IPv6 bracket"),
         pytest.param("extensions = exe, tar gz", id="extensions with a space"),
         pytest.param("extensions = exe, tar\u00a0gz", id="extensions with a no-break space"),
+        pytest.param("depth_limit = 2.7", id="depth_limit = 2.7"),
+        pytest.param(live("https://analysis.example.com/api").replace("ANALYSIS_KEY", ""),
+                     id="provider.api_key_env empty"),
     ])
     def test_invariants_enforced(self, tmp_path, line):
         with pytest.raises(ConfigError):
@@ -155,6 +158,43 @@ class TestJsonFormat:
         text = '{"reports_dir": "r", "store_path": "s.jsonl", "retry_backoff": 1e999}'
         with pytest.raises(ConfigError, match="retry_backoff"):
             load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth_limit", 2.7),
+        ("depth_limit", True),
+        ("max_workers", True),
+        ("max_workers", 1e999),
+        ("retry_count", False),
+        ("retry_count", -0.5),
+        ("fuzzy_threshold", True),
+        ("noise_threshold", True),
+        ("retry_backoff", False),
+    ])
+    def test_booleans_and_fractions_rejected(self, tmp_path, key, value):
+        # json.loads reads true as True, which int() and float() take as 1.
+        document = {"reports_dir": "r", "store_path": "s.jsonl", key: value}
+        with pytest.raises(ConfigError, match=key):
+            load_config(write(tmp_path, json.dumps(document)))
+
+    def test_rate_limit_boolean_rejected(self, tmp_path):
+        provider = {"base_url": "https://a.example/api", "api_key_env": "K", "rate_limit": True}
+        document = {"reports_dir": "r", "store_path": "s.jsonl", "provider": provider}
+        with pytest.raises(ConfigError, match="rate_limit"):
+            load_config(write(tmp_path, json.dumps(document)))
+
+    def test_integral_numbers_accepted(self, tmp_path):
+        document = {"reports_dir": "r", "store_path": "s.jsonl", "depth_limit": 3.0, "max_workers": "2"}
+        config = load_config(write(tmp_path, json.dumps(document)))
+        assert (config.depth_limit, config.max_workers) == (3, 2)
+        assert type(config.depth_limit) is int
+
+    @pytest.mark.parametrize("name", [5, "", None, ["K"]])
+    def test_api_key_env_must_be_a_name(self, tmp_path, name):
+        # A non-string name used to load and then crash enrich with a TypeError.
+        provider = {"base_url": "https://a.example/api", "api_key_env": name}
+        document = {"reports_dir": "r", "store_path": "s.jsonl", "provider": provider}
+        with pytest.raises(ConfigError, match="api_key_env"):
+            load_config(write(tmp_path, json.dumps(document)))
 
     def test_provider_as_string(self, tmp_path):
         document = {"reports_dir": "r", "store_path": "s.jsonl", "provider": "analyses"}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctipipe.correlation as correlation
 from ctipipe.correlation import (
     EXACT,
     FUZZY,
@@ -98,8 +99,10 @@ def pairwise_fuzzy_edges(events, threshold):
 
 
 # The edge order and JSON shape as they were spelled out before Edge became a
-# named tuple, and the DOT and JSON text as it was built whole before it was
-# streamed: the oracles for the plain sorts and for graph_to_json/graph_to_dot.
+# named tuple, the edges as they were sorted row by row before the rows became
+# ints, and the DOT and JSON text as it was built whole before it was
+# streamed: the oracles for the plain sorts, CorrelationGraph.rows and
+# graph_to_json/graph_to_dot.
 def old_edge_key(e):
     """The sort key of exact_edges and of fuzzy_edges."""
     return (e.a, e.b, e.data_type, e.value_a, e.value_b)
@@ -126,6 +129,26 @@ def expanded_edges(links):
     return edges
 
 
+def row_sorted_edges(graph):
+    """Every linked event pair as an edge a < b, one node's row at a time:
+    a's partners b > a on the side each of a's sides faces, a fuzzy link's
+    values swapped when a is on its right side, each row sorted as Edges."""
+    links, on = graph.links, graph.sides
+    edges = []
+    for a in sorted(on):
+        row = []
+        for side in on[a]:
+            kind, data_type, value_l, left, value_r, right, weight = links[side >> 1]
+            if side & 1:
+                value_l, value_r, right = value_r, value_l, left
+            for b in right:
+                if b > a:
+                    row.append(Edge(a, b, kind, data_type, value_l, value_r, weight))
+        row.sort()
+        edges += row
+    return edges
+
+
 def old_graph_to_json(graph):
     return {
         "nodes": [
@@ -142,7 +165,7 @@ def old_graph_to_json(graph):
                 "value_b": e.value_b,
                 "weight": e.weight,
             }
-            for e in graph.edges()
+            for e in row_sorted_edges(graph)
         ],
     }
 
@@ -160,7 +183,7 @@ def old_graph_to_dot(graph):
     for node_id in sorted(graph.nodes):
         kind, info = graph.nodes[node_id]
         lines.append(f'  {node_id} [label="{old_dot_escape(info)}" kind="{kind}"];')
-    for edge in graph.edges():
+    for edge in row_sorted_edges(graph):
         if edge.kind == EXACT:
             label = f"{edge.data_type}={edge.value_a}"
         else:
@@ -770,8 +793,10 @@ class TestLinkSearch:
             raise AssertionError("a path query made an edge")
 
         monkeypatch.setattr(CorrelationGraph, "edges", no_edges)
+        monkeypatch.setattr(CorrelationGraph, "rows", no_edges)
         graph = build_graph(TestPaths().lazarus_events())
         assert find_path(graph, 1, 3) == [1, 2, 3]
+        assert "ranked_sides" not in vars(graph)
 
 
 class TestTimeline:
@@ -838,23 +863,27 @@ _weights = st.one_of(
 )
 
 
-def _graph_with(nodes, edges):
+def _graph_with(nodes, links):
     graph = CorrelationGraph(nodes)
-    graph.edges = lambda: iter(edges)
+    graph.links = links
     return graph
+
+
+def _links(ids, values, weights):
+    """Lists of exact and fuzzy links over ascending tuples of distinct ``ids``."""
+    members = st.lists(ids, min_size=1, max_size=4, unique=True).map(lambda drawn: tuple(sorted(drawn)))
+    exact = st.builds(
+        lambda data_type, value, clique, weight: Link(EXACT, data_type, value, clique, value, clique, weight),
+        values, values, members, weights,
+    )
+    fuzzy = st.builds(Link, st.just(FUZZY), values, values, members, values, members, weights)
+    return st.lists(st.one_of(exact, fuzzy), max_size=6)
 
 
 _streamed_graphs = st.builds(
     _graph_with,
     st.dictionaries(st.integers(-5, 10**6), st.tuples(_awkward_text, _awkward_text), max_size=6),
-    st.lists(
-        st.builds(
-            Edge,
-            st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([EXACT, FUZZY]),
-            _awkward_text, _awkward_text, _awkward_text, _weights,
-        ),
-        max_size=6,
-    ),
+    _links(st.integers(-5, 10**6), _awkward_text, _weights),
 )
 
 
@@ -868,13 +897,16 @@ class TestStreamedText:
         assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
         assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
 
-    @pytest.mark.parametrize("nodes, edges", [
+    @pytest.mark.parametrize("nodes, links", [
         pytest.param({}, [], id="no nodes"),
         pytest.param({3: (REPORT, "a.pdf"), 1: (MALWARE, "ab" * 16)}, [], id="nodes without edges"),
-        pytest.param({}, [Edge(1, 2, FUZZY, "hostname", "a ", '"b\\', 0.842105263)], id="edges without nodes"),
+        pytest.param({}, [Link(FUZZY, "hostname", "a ", (1,), '"b\\', (2,), 0.842105263)],
+                     id="edges without nodes"),
+        pytest.param({1: (REPORT, "a.pdf")}, [Link(FUZZY, "hostname", "a", (1,), "b", (1,), 0.9)],
+                     id="a link without edges"),
     ])
-    def test_empty_lists(self, nodes, edges):
-        graph = _graph_with(nodes, edges)
+    def test_empty_lists(self, nodes, links):
+        graph = _graph_with(nodes, links)
         assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
         assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
 
@@ -894,3 +926,57 @@ class TestStreamedText:
             tracemalloc.stop()
         assert path.read_text(encoding="utf-8") == old_graph_json_text(graph)
         assert peak < path.stat().st_size / 10
+
+    def test_encodes_per_side_not_per_edge(self, monkeypatch):
+        # The same 50 086-edge clique: every edge shares its one side's text,
+        # so JSON-encoding runs twice per node and four times per link side.
+        graph = build_graph([event(event_id, [("other", "shared")]) for event_id in range(1, 318)])
+        encode = correlation._json_string
+        calls = 0
+
+        def counting(text):
+            nonlocal calls
+            calls += 1
+            return encode(text)
+
+        monkeypatch.setattr(correlation, "_json_string", counting)
+        text = "".join(graph_to_json(graph))
+        assert text == old_graph_json_text(graph)
+        assert len(graph.ranked_sides) == 1
+        assert calls == 2 * len(graph.nodes) + 4 * len(graph.ranked_sides) == 638
+
+
+class TestRowStream:
+    """CorrelationGraph.rows, read through edges(), graph_to_json and
+    graph_to_dot, against the per-row Edge sort it replaced."""
+
+    # Few ids, two common values and common weights: several links between
+    # one pair (ties on b), events on both sides of a fuzzy link, and a fuzzy
+    # side whose swapped values equal another link's (ties on the whole key).
+    tied_graphs = st.builds(
+        _graph_with,
+        st.dictionaries(st.integers(-3, 6), st.tuples(_awkward_text, _awkward_text), max_size=4),
+        _links(
+            st.integers(-3, 6),
+            st.one_of(st.sampled_from(["x", "y"]), _awkward_text),
+            st.one_of(st.sampled_from([1.0, 0.5, 0.0, -0.0]), _weights),
+        ),
+    )
+
+    @given(st.one_of(tied_graphs, st.builds(build_graph, _graph_events, TestLinkSearch.options)))
+    @settings(max_examples=300)
+    def test_matches_row_sorted_oracle(self, graph):
+        edges = list(graph.edges())
+        assert edges == row_sorted_edges(graph) == expanded_edges(graph.links)
+        assert len(edges) == graph.edge_count()
+        assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
+        assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
+
+    @pytest.mark.parametrize("weights", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_equal_fields_keep_side_order(self, weights):
+        # 0.0 == -0.0, so only the side order tells these two edges apart.
+        links = [Link(FUZZY, "other", "x", (1,), "y", (2,), weight) for weight in weights]
+        graph = _graph_with({}, links)
+        assert "".join(graph_to_json(graph)) == old_graph_json_text(graph)
+        assert "".join(graph_to_dot(graph)) == old_graph_to_dot(graph)
+        assert [repr(edge.weight) for edge in graph.edges()] == [repr(weight) for weight in weights]
