@@ -140,6 +140,14 @@ def _numbers(data: dict, kinds: dict[str, type]) -> dict:
     return numbers
 
 
+def _string(key: str, value) -> str:
+    """``value`` if it is a string. A JSON file may give a setting any type,
+    and ``str()`` would load the list ``["r"]`` as the path "['r']"."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
@@ -153,18 +161,18 @@ def load_config(path: str | Path) -> PipelineConfig:
     else:
         data = _parse_key_values(text)
 
-    def resolve(value) -> Path:
-        value = Path(str(value))
+    def resolve(key: str, value) -> Path:
+        value = Path(_string(key, value))
         return value if value.is_absolute() else (path.parent / value).resolve()
 
     settings: dict = {}
     provider = data.get("provider")
     if isinstance(provider, str):
-        settings["provider_fixture"] = resolve(provider)
+        settings["provider_fixture"] = resolve("provider", provider)
     elif isinstance(provider, dict):
         try:
             settings["provider_live"] = LiveProviderConfig(
-                base_url=str(provider["base_url"]),
+                base_url=_string("provider.base_url", provider["base_url"]),
                 api_key_env=provider["api_key_env"],
                 **_numbers(provider, {"rate_limit": float}),
             )
@@ -175,7 +183,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     raw_extensions = data.get("extensions")
     if raw_extensions is not None:
-        items = raw_extensions if isinstance(raw_extensions, list) else str(raw_extensions).split(",")
+        items = raw_extensions.split(",") if isinstance(raw_extensions, str) else raw_extensions
+        if not isinstance(items, list) or not all(isinstance(ext, str) for ext in items):
+            raise ConfigError(f"extensions: expected a string or a list of strings, got {raw_extensions!r}")
         settings["extensions"] = frozenset(ext.strip().lower().lstrip(".") for ext in items if ext.strip())
         if not settings["extensions"]:
             raise ConfigError("extensions: expected at least one file extension")
@@ -185,14 +195,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         if not isinstance(raw_defang, dict):
             raise ConfigError("defang: expected a mapping of defanged -> plain text")
         for pattern, replacement in raw_defang.items():
-            if not pattern or len(str(replacement)) > len(str(pattern)):
+            if not pattern or len(_string(f"defang.{pattern}", replacement)) > len(pattern):
                 raise ConfigError(f"defang.{pattern}: replacement must not be longer than the pattern")
-        settings["defang_extra"] = tuple((str(k), str(v)) for k, v in raw_defang.items())
+        settings["defang_extra"] = tuple(raw_defang.items())
 
     for key in ("reports_dir", "store_path"):
         if data.get(key) is None:
             raise ConfigError(f"missing required setting {key!r}")
-        settings[key] = resolve(data[key])
+        settings[key] = resolve(key, data[key])
     if data.get("denylist") is not None:
-        settings["denylist_path"] = resolve(data["denylist"])
+        settings["denylist_path"] = resolve("denylist", data["denylist"])
     return PipelineConfig(**settings, **_numbers(data, _NUMBERS))

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import MISSING, fields
 
 import pytest
@@ -195,6 +196,30 @@ class TestJsonFormat:
         document = {"reports_dir": "r", "store_path": "s.jsonl", "provider": provider}
         with pytest.raises(ConfigError, match="api_key_env"):
             load_config(write(tmp_path, json.dumps(document)))
+
+    @pytest.mark.parametrize("setting, label", [
+        pytest.param({"extensions": [5]}, "extensions", id="extensions [5]"),
+        pytest.param({"extensions": ["exe", None]}, "extensions", id="extensions [exe, null]"),
+        pytest.param({"extensions": 5}, "extensions", id="extensions 5"),
+        pytest.param({"extensions": {"exe": "dll"}}, "extensions", id="extensions object"),
+        pytest.param({"reports_dir": ["r"]}, "reports_dir", id="reports_dir [r]"),
+        pytest.param({"store_path": True}, "store_path", id="store_path true"),
+        pytest.param({"denylist": 3}, "denylist", id="denylist 3"),
+        pytest.param({"provider": {"base_url": ["https://a.example/api"], "api_key_env": "K"}},
+                     "provider.base_url", id="provider.base_url [url]"),
+        pytest.param({"defang": {"[x]": 5}}, "defang.[x]", id="defang 5"),
+        pytest.param({"defang": {"[x]": None}}, "defang.[x]", id="defang null"),
+    ])
+    def test_wrongly_typed_values_rejected(self, tmp_path, setting, label):
+        # Each used to crash with an AttributeError or load as its str().
+        document = {"reports_dir": "r", "store_path": "s.jsonl", **setting}
+        with pytest.raises(ConfigError, match=f"^{re.escape(label)}: expected"):
+            load_config(write(tmp_path, json.dumps(document)))
+
+    def test_extensions_as_one_string(self, tmp_path):
+        document = {"reports_dir": "r", "store_path": "s.jsonl", "extensions": "exe, .DLL"}
+        config = load_config(write(tmp_path, json.dumps(document)))
+        assert config.extensions == frozenset({"exe", "dll"})
 
     def test_provider_as_string(self, tmp_path):
         document = {"reports_dir": "r", "store_path": "s.jsonl", "provider": "analyses"}

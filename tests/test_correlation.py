@@ -98,6 +98,39 @@ def pairwise_fuzzy_edges(events, threshold):
     return sorted(edges, key=old_edge_key)
 
 
+def per_pair_similar_values(owners, threshold):
+    """correlation._similar_values as it scored one canonical pair per
+    _lcs_bits call: the oracle for the packed scoring, order included."""
+    groups = {}
+    for (data_type, value), ids in owners.items():
+        if data_type not in NAME_LIKE_TYPES:
+            continue
+        canonical = canonical_name(value, data_type)
+        groups.setdefault(data_type, {}).setdefault(canonical, []).append((value, ids))
+
+    similar = []
+    for data_type, by_canonical in groups.items():
+        names = sorted(by_canonical, key=len)
+        for i, short in enumerate(names):
+            group = by_canonical[short]
+            for k, (value_l, ids_l) in enumerate(group):
+                for value_r, ids_r in group[k + 1:]:
+                    similar.append(Link(FUZZY, data_type, value_l, ids_l, value_r, ids_r, 1.0))
+            n = len(short)
+            masks = correlation._match_masks(short)
+            for long in names[i + 1:]:
+                m = len(long)
+                if 2.0 * n / (n + m) < threshold:
+                    break
+                similarity = 2.0 * correlation._lcs_bits(masks, n, long) / (n + m)
+                if similarity >= threshold:
+                    weight = round(similarity, 9)
+                    for value_l, ids_l in group:
+                        for value_r, ids_r in by_canonical[long]:
+                            similar.append(Link(FUZZY, data_type, value_l, ids_l, value_r, ids_r, weight))
+    return similar
+
+
 # The edge order and JSON shape as they were spelled out before Edge became a
 # named tuple, the edges as they were sorted row by row before the rows became
 # ints, and the DOT and JSON text as it was built whole before it was
@@ -423,18 +456,95 @@ class TestFuzzyScoredOnce:
             event(event_id, [("hostname", base[:i] + rng.choice("aexz") + base[i + 1:] + ".com")])
             for event_id, (base, i) in enumerate(((rng.choice(bases), rng.randrange(10)) for _ in range(30)), 1)
         ]
-        calls = []
-        real = correlation._lcs_bits
-        monkeypatch.setattr(correlation, "_lcs_bits", lambda *args: calls.append(1) or real(*args))
+        passes = []
+        real = correlation._packed_lcs
+        monkeypatch.setattr(correlation, "_packed_lcs", lambda *args: passes.append(1) or real(*args))
         expected = fuzzy_edges(events, 0.8)
-        scored = len(calls)
+        scored = len(passes)
         assert scored > 0
-        calls.clear()
+        passes.clear()
         graph = build_graph(events, GraphOptions(fuzzy=True, threshold=0.8))
         find_path(graph, 1, 2)
         assert [e for e in graph.edges() if e.kind == FUZZY] == expected
         graph.edge_count()
-        assert len(calls) == scored
+        assert len(passes) == scored
+
+
+# Name lengths 0-70, so blocks straddle CPython's 30-bit int digits; ASCII,
+# non-ASCII and astral characters; a few stems with small edits, so pairs
+# reach the threshold; case and suffix variants, so canonical forms collide.
+_ALPHABET = "abcAB \u00e9\u0436\U0001f600"
+
+
+@st.composite
+def _owner_maps(draw):
+    stems = draw(st.lists(st.text(alphabet=_ALPHABET, max_size=70), min_size=1, max_size=3))
+    owners = {}
+    for _ in range(draw(st.integers(0, 12))):
+        stem = draw(st.sampled_from(stems))
+        cut = draw(st.integers(0, len(stem)))
+        value = stem[:cut] + draw(st.text(alphabet=_ALPHABET, max_size=2)) + stem[cut + draw(st.integers(0, 2)):]
+        if draw(st.booleans()):
+            value = value.upper()
+        value += draw(st.sampled_from(["", ".com", ".net", ".exe", " "]))
+        data_type = draw(st.sampled_from(["hostname", "url", "filename", "other", "email", "md5"]))
+        owners[(data_type, value)] = tuple(sorted(draw(st.sets(st.integers(1, 9), min_size=1, max_size=3))))
+    return owners
+
+
+class TestPackedScoring:
+    @given(st.lists(st.text(alphabet=_ALPHABET, max_size=70), min_size=1, max_size=6),
+           st.text(alphabet=_ALPHABET, max_size=70), st.data())
+    @settings(max_examples=300)
+    def test_each_block_is_its_lcs(self, names, text, data):
+        start = data.draw(st.integers(0, len(names) - 1))
+        stop = data.draw(st.integers(start + 1, len(names)))
+        packed = correlation._pack(names)
+        assert correlation._packed_lcs(packed, text, start, stop) == [dp_lcs(text, name) for name in names[start:stop]]
+
+    @given(_owner_maps(), st.one_of(st.sampled_from([0.05, 0.5, 2 / 3, 0.8, 1.0]), st.floats(0.01, 1.0)))
+    @settings(max_examples=400)
+    def test_matches_per_pair_oracle(self, owners, threshold):
+        assert correlation._similar_values(owners, threshold) == per_pair_similar_values(owners, threshold)
+
+    @pytest.mark.parametrize("short, long, threshold", [
+        ("abcde", "abcdx", 0.8),  # 2.0 * 4 / 10 == 0.8
+        ("abc", "abx", 2 / 3),  # 2.0 * 2 / 6 == 2 / 3
+        ("abcd", "abcdxy", 0.8),  # the length cut-off at equality, 2.0 * 4 / 10
+    ])
+    def test_ratio_equal_to_threshold_links(self, short, long, threshold):
+        assert 2.0 * lcs_length(short, long) / (len(short) + len(long)) == threshold
+        owners = {("other", short): (1,), ("other", long): (2,)}
+        links = correlation._similar_values(owners, threshold)
+        assert links == per_pair_similar_values(owners, threshold)
+        assert [link.weight for link in links] == [round(threshold, 9)]
+
+    def test_length_cut_off_drops_every_pair(self, monkeypatch):
+        owners = {("other", "a"): (1,), ("other", "A "): (2,), ("other", "b" * 5): (3,), ("other", "a" * 70): (4,)}
+        passes = []
+        real = correlation._packed_lcs
+        monkeypatch.setattr(correlation, "_packed_lcs", lambda *args: passes.append(1) or real(*args))
+        links = correlation._similar_values(owners, 0.9)
+        assert links == per_pair_similar_values(owners, 0.9)
+        assert links == [Link(FUZZY, "other", "a", (1,), "A ", (2,), 1.0)]
+        assert passes == []
+
+    def test_single_name_per_type(self):
+        owners = {("hostname", "abc.com"): (1,), ("url", "http://abd.net/x"): (2,), ("filename", "abc.exe"): (3,)}
+        assert correlation._similar_values(owners, 0.05) == []
+
+    def test_names_across_int_digits(self):
+        rng = random.Random(3)
+        base = "".join(rng.choice("ab\u00e9") for _ in range(70))
+        owners = {}
+        for event_id, length in enumerate((1, 28, 29, 30, 31, 32, 59, 60, 61, 62, 70, 70), 1):
+            name = list(base[:length])
+            name[rng.randrange(length)] = rng.choice("ab\U0001f600")
+            owners[("other", "".join(name))] = (event_id,)
+        for threshold in (0.5, 0.8, 0.9, 1.0):
+            links = correlation._similar_values(owners, threshold)
+            assert links == per_pair_similar_values(owners, threshold)
+        assert len(correlation._similar_values(owners, 0.8)) > 5
 
 
 class TestFuzzyAgainstPairwise:
