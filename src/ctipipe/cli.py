@@ -32,7 +32,7 @@ from .events import (
 )
 from .extraction import extract_indicators, normalize_defanged
 from .providers import AnalysisDataError, ProviderError
-from .store import EventStore, StoreError, atomic_write, load_all
+from .store import EventStore, StoreError, atomic_write
 
 
 class _UsageError(Exception):
@@ -81,6 +81,14 @@ def _sidecar_path(config: PipelineConfig) -> Path:
     return Path(str(config.store_path) + ".enrichment.json")
 
 
+def _open_store(config: PipelineConfig) -> EventStore:
+    """The store a command reads, refused when it holds no events."""
+    store = EventStore(config.store_path)
+    if not len(store):
+        raise StoreError(f"{config.store_path} is empty")
+    return store
+
+
 def _cmd_ingest(config: PipelineConfig, args) -> int:
     reports = _report_files(config)
     if not reports:
@@ -115,7 +123,7 @@ def _cmd_enrich(config: PipelineConfig, args) -> int:
     from .enrichment import EnrichmentResult, enrich_transitively, replay_closure
 
     provider = config.make_provider()
-    store = EventStore(config.store_path)
+    store = _open_store(config)
     events = store.events()
     if any(e.kind == MALWARE for e in events):
         raise StoreError(f"{config.store_path} already contains malware events")
@@ -161,11 +169,9 @@ def _cmd_filter(config: PipelineConfig, args) -> int:
         load_denylist,
     )
 
-    store = EventStore(config.store_path)
-    events = store.events()
-    if not events:
-        raise StoreError(f"{config.store_path} is empty")
     rules = load_denylist(config.denylist_path) if config.denylist_path else list(DEFAULT_DENYLIST)
+    store = _open_store(config)
+    events = store.events()
     before = sum(len(e.attributes) for e in events)
     filtered = [apply_denylist(dedup_attributes(e), rules) for e in events]
 
@@ -191,9 +197,7 @@ def _cmd_stats(config: PipelineConfig, args) -> int:
     from .analytics import categories_to_csv, categories_to_text, compute_stat_tables
     from .enrichment import EnrichmentResult
 
-    events = load_all(config.store_path)
-    if not events:
-        raise StoreError(f"{config.store_path} is empty")
+    events = _open_store(config).events()
     sidecar = _sidecar_path(config)
     if sidecar.is_file():
         try:
@@ -221,9 +225,7 @@ def _cmd_stats(config: PipelineConfig, args) -> int:
 def _cmd_correlate(config: PipelineConfig, args) -> int:
     from .correlation import GraphOptions, build_graph, find_path, graph_to_dot, graph_to_json
 
-    events = load_all(config.store_path)
-    if not events:
-        raise StoreError(f"{config.store_path} is empty")
+    events = _open_store(config).events()
     options = GraphOptions(fuzzy=args.fuzzy, threshold=config.fuzzy_threshold, cross_set_only=args.cross_set_only)
     graph = build_graph(events, options)
     print(f"graph: {len(graph.nodes)} nodes, {graph.edge_count()} edges")
@@ -242,9 +244,7 @@ def _cmd_correlate(config: PipelineConfig, args) -> int:
 
 
 def _cmd_export(config: PipelineConfig, args) -> int:
-    events = load_all(config.store_path)
-    if not events:
-        raise StoreError(f"{config.store_path} is empty")
+    events = _open_store(config).events()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for event in events:

@@ -173,26 +173,11 @@ def _match_masks(x: str) -> dict[str, int]:
     return masks
 
 
-def _lcs_bits(masks: dict[str, int], n: int, y: str) -> int:
-    """LCS length of ``y`` and the length-``n`` string behind ``masks``.
-
-    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): the zero bits of ``v``
-    count the matched positions, so each character of ``y`` costs a few
-    operations on an n-bit int instead of a DP row.
-    """
-    full = (1 << n) - 1
-    v = full
-    for c in y:
-        u = v & masks.get(c, 0)
-        v = ((v + u) | (v - u)) & full
-    return n - v.bit_count()
-
-
 def lcs_length(x: str, y: str) -> int:
     """Longest common subsequence length, bit-parallel over the shorter string."""
     if len(x) > len(y):
         x, y = y, x
-    return _lcs_bits(_match_masks(x), len(x), y)
+    return _packed_lcs(_pack([x]), y, 0, 1)[0]
 
 
 def lcs_ratio(x: str, y: str) -> float:
@@ -324,8 +309,10 @@ def _pack(names: list[str]) -> tuple[list[int], dict[str, int], int]:
 
 def _packed_lcs(packed: tuple[list[int], dict[str, int], int], text: str, start: int, stop: int) -> list[int]:
     """The LCS length of ``text`` with each :func:`_pack` name from ``start``
-    to ``stop - 1``, from one run of :func:`_lcs_bits` over all their blocks
-    with ``text`` as the scanned string (Hyyrö, Fredriksson & Navarro 2005).
+    to ``stop - 1``, from one bit-parallel scan of ``text`` over all their
+    blocks (Allison & Dix 1986; Hyyrö 2004; Hyyrö, Fredriksson & Navarro
+    2005): each character of ``text`` costs a few operations on one int
+    instead of a DP row per name.
 
     The blocks never mix: a block's sum carries at most into its guard bit,
     which ``full`` clears, and ``v - u`` never borrows, as ``u`` is a

@@ -107,8 +107,6 @@ _PRIORITY = {
     IndicatorKind.HOSTNAME: 10,
 }
 
-_filename_re_cache: dict[tuple[str, ...], re.Pattern[str]] = {}
-
 _MAX_DEFANG_PASSES = 100
 
 
@@ -172,16 +170,12 @@ def looks_like_hostname(value: str) -> bool:
 def _filename_pattern(extensions: Iterable[str]) -> re.Pattern[str]:
     """The filename pattern for ``extensions``; ValueError if one holds
     whitespace, which no indicator may span."""
-    key = tuple(sorted(set(ext.lower().lstrip(".") for ext in extensions)))
-    pattern = _filename_re_cache.get(key)
-    if pattern is None:
-        for ext in key:
-            if any(ch.isspace() for ch in ext):
-                raise ValueError(f"filename extension {ext!r} contains whitespace")
-        alternatives = "|".join(re.escape(ext) for ext in key)
-        pattern = re.compile(rf"\b[\w.\-]+\.(?:{alternatives})\b", re.IGNORECASE)
-        _filename_re_cache[key] = pattern
-    return pattern
+    extensions = sorted(set(ext.lower().lstrip(".") for ext in extensions))
+    for ext in extensions:
+        if any(ch.isspace() for ch in ext):
+            raise ValueError(f"filename extension {ext!r} contains whitespace")
+    alternatives = "|".join(re.escape(ext) for ext in extensions)
+    return re.compile(rf"\b[\w.\-]+\.(?:{alternatives})\b", re.IGNORECASE)  # re caches the compiled pattern
 
 
 @dataclass(frozen=True)
@@ -265,6 +259,4 @@ def extract_indicators(
         if candidate.start >= max_end:
             kept.append(candidate)
             max_end = candidate.end
-
-    kept.sort(key=lambda c: (c.start, c.kind.value))
     return [Indicator(c.kind, c.value, source_id, c.start) for c in kept]

@@ -1,12 +1,14 @@
 """Event store: one JSON document per line, UTF-8.
 
 New event and attribute ids continue from the largest ids in the store, so
-ids stay unique across process restarts. Every commit but one replaces the
-whole file through a temp file, so a failed commit leaves the store as it
-was. The exception is :meth:`EventStore.append`, which writes its one line in
-place and truncates it away again if the write fails. A partial trailing line
-(a torn write) is tolerated on load and truncated away before the next write,
-so an appended event is stored whole or not at all.
+ids stay unique across process restarts. Opening a store only reads it; a
+store has a single writer, whose commits start from the state read at open.
+Every commit but one replaces the whole file through a temp file, so a
+failed commit leaves the store as it was. The exception is
+:meth:`EventStore.append`, which writes its one line in place and truncates
+it away again if the write fails. The bytes after the last newline (a torn
+write) are not committed: reading ignores them and the next commit removes
+them, so an appended event is stored whole or not at all.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
@@ -69,48 +70,37 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Replace ``path`` with ``chunks`` via a fsynced temp file renamed over
     it; on any failure the old file stays and the temp file is removed. The
     file keeps its mode, or gets ``open()``'s (0o666 less the umask) if new."""
-    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    temp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    descriptor = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        if path.exists():
-            os.chmod(temp_name, path.stat().st_mode & 0o7777)
-        else:
-            os.umask(umask := os.umask(0))  # read the umask, leaving it as it was
-            os.chmod(temp_name, 0o666 & ~umask)
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            if path.exists():
+                os.fchmod(handle.fileno(), path.stat().st_mode & 0o7777)
             handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(temp_name, path)
+        os.replace(temp, path)
     except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
+        temp.unlink(missing_ok=True)
         raise
 
 
 def load_all(path: str | Path) -> list[Event]:
     """All events in insertion order; empty or missing file yields []."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    events, _ = _read_store(path)
-    return events
+    return EventStore(path).events()
 
 
 class EventStore:
-    """Single writer for one store file. Concurrent readers can keep using
-    :func:`load_all` snapshots; they never see a half-written line."""
+    """One store file, read at open. Opening never writes; the single
+    writer's :meth:`append` and :meth:`rewrite` both write from the state
+    read at open, so a concurrent writer's commits would be lost."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._events: list[Event] = []
+        self._length = 0  # bytes up to the last newline: the committed store
         if self.path.exists():
-            self._events, valid_bytes = _read_store(self.path)
-            if valid_bytes < self.path.stat().st_size:
-                log.warning("%s: truncating partial trailing line", self.path)
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(valid_bytes)
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._events, self._length = _read_store(self.path)
 
     def events(self) -> list[Event]:
         return list(self._events)
@@ -121,23 +111,26 @@ class EventStore:
     def append(self, event: Event) -> Event:
         """Commit one event under the next ids and return the stored copy.
 
-        Writes one line at the end of the file and fsyncs once; if that
-        fails, the file is truncated back to its old length.
+        Truncates the file to its committed length, which drops a torn tail,
+        then writes one line at the end and fsyncs once; if that fails, the
+        file is truncated back to the committed length.
         """
         [stored] = self._numbered(self._events, [event])
-        line = memoryview((json.dumps(event_to_document(stored)) + "\n").encode("utf-8"))
+        line = (json.dumps(event_to_document(stored)) + "\n").encode("utf-8")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         descriptor = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            length = os.lseek(descriptor, 0, os.SEEK_END)
-            try:
-                while line:
-                    line = line[os.write(descriptor, line):]
-                os.fsync(descriptor)
-            except BaseException:
-                os.ftruncate(descriptor, length)
-                raise
+            os.ftruncate(descriptor, self._length)
+            unwritten = memoryview(line)
+            while unwritten:
+                unwritten = unwritten[os.write(descriptor, unwritten):]
+            os.fsync(descriptor)
+        except BaseException:
+            os.ftruncate(descriptor, self._length)
+            raise
         finally:
             os.close(descriptor)
+        self._length += len(line)
         self._events.append(stored)
         return stored
 
@@ -179,5 +172,7 @@ class EventStore:
         :meth:`rebuild` and the filtering stage, which rewrites events rather
         than adding new ones.
         """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(self.path, (json.dumps(event_to_document(event)) + "\n" for event in events))
+        self._length = self.path.stat().st_size
         self._events = list(events)

@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import logging
 import socket
 import sys
 from pathlib import Path
@@ -321,6 +322,18 @@ class TestEnrich:
         assert [(e.kind, e.info) for e in events] == [(REPORT, title), (MALWARE, SHARED)]
         assert run(config, "stats") == 0
 
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_missing_or_empty_store_rejected(self, tmp_path, capsys, empty):
+        store = tmp_path / "data" / "events.jsonl"
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider", store_path=store)
+        if empty:
+            store.parent.mkdir()
+            store.write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        assert run(config, "enrich") == 2
+        assert "is empty" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_live_provider_without_key_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("MISSING_KEY_ENV", raising=False)
         config = write_config(tmp_path, GOLDEN_DIR / "reports", **{
@@ -366,6 +379,14 @@ class TestFilter:
 
     def test_empty_store_rejected(self, golden_config):
         assert run(golden_config, "filter") == 2
+
+    def test_denylist_checked_before_the_store(self, tmp_path, capsys):
+        denylist = tmp_path / "denylist.txt"
+        denylist.write_text("filename:\n")
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", denylist=denylist)
+        (tmp_path / "events.jsonl").write_text("not json\n")
+        assert run(config, "filter") == 1
+        assert "empty pattern" in capsys.readouterr().err
 
 
 class TestStats:
@@ -566,6 +587,24 @@ class TestOutputsCrashSafe:
         torn_writes()
         assert run(lazarus_config, "correlate", flag, str(tmp_path / "out" / "graph")) == 2
         self.assert_previous(tmp_path / "out", ["graph"])
+
+
+class TestRefusalsKeepTheStore:
+    """A torn tail is not committed: a command that refuses to run leaves
+    it, and the store around it, as it found them."""
+
+    @pytest.mark.parametrize("command", ["ingest", "enrich"])
+    def test_torn_store_left_byte_identical(self, golden_config, tmp_path, caplog, command):
+        run(golden_config, "ingest")
+        run(golden_config, "enrich")
+        path = tmp_path / "events.jsonl"
+        with open(path, "ab") as handle:
+            handle.write(b'{"id": 7, "date": "2015-')
+        before = path.read_bytes()
+        with caplog.at_level(logging.WARNING):
+            assert run(golden_config, command) == 2
+        assert path.read_bytes() == before
+        assert len(caplog.records) == 1
 
 
 class TestExport:

@@ -98,9 +98,21 @@ def pairwise_fuzzy_edges(events, threshold):
     return sorted(edges, key=old_edge_key)
 
 
+def lcs_bits(masks, n, y):
+    """LCS length of ``y`` and the length-``n`` string behind ``masks``, one
+    bit-parallel row per character of ``y``: the per-pair kernel the packed
+    scoring replaced."""
+    full = (1 << n) - 1
+    v = full
+    for c in y:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
+
+
 def per_pair_similar_values(owners, threshold):
     """correlation._similar_values as it scored one canonical pair per
-    _lcs_bits call: the oracle for the packed scoring, order included."""
+    lcs_bits call: the oracle for the packed scoring, order included."""
     groups = {}
     for (data_type, value), ids in owners.items():
         if data_type not in NAME_LIKE_TYPES:
@@ -122,7 +134,7 @@ def per_pair_similar_values(owners, threshold):
                 m = len(long)
                 if 2.0 * n / (n + m) < threshold:
                     break
-                similarity = 2.0 * correlation._lcs_bits(masks, n, long) / (n + m)
+                similarity = 2.0 * lcs_bits(masks, n, long) / (n + m)
                 if similarity >= threshold:
                     weight = round(similarity, 9)
                     for value_l, ids_l in group:

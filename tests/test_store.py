@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import logging
 import os
 import random
 import stat
@@ -111,6 +112,27 @@ class TestCrashRecovery:
         loaded = load_all(path)
         assert len(loaded) == 1
 
+    def test_open_is_read_only(self, tmp_path, caplog):
+        path = tmp_path / "events.jsonl"
+        EventStore(path).append(simple_event())
+        with open(path, "ab") as handle:
+            handle.write(b'{"id": 2, "da')
+        before = path.read_bytes()
+        with caplog.at_level(logging.WARNING, logger="ctipipe.store"):
+            assert len(EventStore(path)) == 1
+            assert len(load_all(path)) == 1
+        assert path.read_bytes() == before
+        assert len(caplog.records) == 2  # one per open
+        missing = tmp_path / "new" / "events.jsonl"
+        assert len(EventStore(missing)) == 0
+        assert not missing.parent.exists()
+
+    def test_commits_create_the_directory(self, tmp_path):
+        appended = EventStore(tmp_path / "a" / "events.jsonl").append(simple_event())
+        extended = EventStore(tmp_path / "b" / "events.jsonl").extend([simple_event()])
+        assert load_all(tmp_path / "a" / "events.jsonl") == [appended]
+        assert load_all(tmp_path / "b" / "events.jsonl") == extended
+
     def test_append_after_partial_line_truncates(self, tmp_path):
         path = tmp_path / "events.jsonl"
         EventStore(path).append(simple_event())
@@ -212,6 +234,16 @@ class TestAtomicWrite:
         atomic_write(path, ["new\n"])
         assert path.read_text() == "new\n"
         assert stat.S_IMODE(path.stat().st_mode) == 0o604
+
+    def test_never_touches_the_umask(self, tmp_path, monkeypatch):
+        def umask(mask):  # another thread's new file would get the mode it sets
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        path = tmp_path / "graph.json"
+        atomic_write(path, ["{}\n"])
+        atomic_write(path, ["[]\n"])
+        assert path.read_text() == "[]\n"
 
     def test_failed_extend_keeps_store(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
