@@ -18,8 +18,8 @@ _EXPORTS = {
     ),
     "config": ("ConfigError", "PipelineConfig", "load_config"),
     "correlation": (
-        "CorrelationGraph", "Edge", "GraphOptions", "Link", "build_graph", "event_set_similarity",
-        "exact_edges", "find_path", "fuzzy_edges", "temporal_timeline",
+        "CorrelationGraph", "Edge", "GraphOptions", "Link", "build_graph", "exact_edges", "find_path",
+        "fuzzy_edges", "temporal_timeline",
     ),
     "enrichment": (
         "AnalysisRecord", "EnrichmentResult", "enrich_transitively", "fetch_analysis", "record_to_attributes",

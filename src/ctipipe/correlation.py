@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .events import Event, EventSet, distinct_pairs, is_back_link, jaccard
+from .events import Event, is_back_link
 
 EXACT = "exact"
 FUZZY = "fuzzy"
@@ -327,12 +327,6 @@ def _packed_lcs(packed: tuple[list[int], dict[str, int], int], text: str, start:
     # Character p of this string is bit p of v.
     bits = format(v, f"0{end}b")[::-1]
     return [e - b - 1 - bits.count("1", b, e) for b, e in zip(offsets[start:stop], offsets[start + 1:stop + 1])]
-
-
-def event_set_similarity(a: EventSet, b: EventSet) -> float:
-    """Jaccard index over the distinct (type, value) pairs of two event sets,
-    back-links excluded; 0.0 when both sets are empty."""
-    return jaccard(distinct_pairs(a), distinct_pairs(b))
 
 
 def build_graph(events: list[Event], options: GraphOptions | None = None) -> CorrelationGraph:

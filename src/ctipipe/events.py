@@ -84,13 +84,6 @@ def distinct_pairs(event_set: EventSet) -> set[tuple[str, str]]:
     return pairs
 
 
-def jaccard(a: set, b: set) -> float:
-    """|a ∩ b| / |a ∪ b|; 0.0 when both sets are empty."""
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 def report_hashes(event: Event) -> set[str]:
     """The lowercased hash values of a report event: the seeds enrichment
     starts from, and the "extracted malware hashes" of the statistics."""
@@ -114,7 +107,7 @@ _INDICATOR_ATTRIBUTE = {
 
 
 def build_report_event(title: str, publication_date: dt.date, indicators: list[Indicator]) -> Event:
-    """Turn a parsed report into a report event; ids are assigned on append."""
+    """Turn a parsed report into a report event; ids are assigned on commit."""
     if not title:
         raise ValueError("report title must not be empty")
     attributes = []

@@ -28,23 +28,15 @@ from .events import (
 
 
 class DenylistError(ConfigError):
-    """Raised at load time for a malformed denylist pattern: the denylist is
-    part of the configuration, so the CLI reports it as a config error."""
+    """Raised at load time for a denylist file that cannot be read or holds
+    a malformed pattern: the denylist is part of the configuration, so the
+    CLI reports it as a config error."""
 
 
 @dataclass(frozen=True)
 class DenyRule:
     pattern: str
     type_scope: str | None = None
-
-    def matches(self, attribute_type: str, value: str) -> bool:
-        return _rule_matches(self.type_scope, self.pattern.lower(), attribute_type, value.lower())
-
-
-def _rule_matches(type_scope: str | None, pattern: str, attribute_type: str, value: str) -> bool:
-    """The denylist match rule, over a lowercased pattern and value: the
-    rule is unscoped or scoped to the attribute's type, and the glob matches."""
-    return (type_scope is None or attribute_type == type_scope) and fnmatchcase(value, pattern)
 
 
 # Files the OS produces regardless of what the malware intended.
@@ -83,7 +75,14 @@ def parse_denylist(lines: list[str]) -> list[DenyRule]:
 
 
 def load_denylist(path: str | Path) -> list[DenyRule]:
-    return parse_denylist(Path(path).read_text(encoding="utf-8").splitlines())
+    """The rules of a denylist file; an unreadable or malformed file is a
+    :class:`DenylistError` that names it."""
+    try:
+        return parse_denylist(Path(path).read_text(encoding="utf-8").splitlines())
+    except OSError as exc:
+        raise DenylistError(f"cannot read denylist {path}: {exc.strerror or exc}") from exc
+    except DenylistError as exc:
+        raise DenylistError(f"{path}: {exc}") from exc
 
 
 def dedup_attributes(event: Event) -> Event:
@@ -118,15 +117,16 @@ def _protected(event: Event, attribute) -> bool:
 
 
 def apply_denylist(event: Event, denylist: list[DenyRule]) -> Event:
-    """Drop the unprotected attributes some rule matches, by the rule
-    :meth:`DenyRule.matches` applies; each pattern and each value is
-    lowercased once, not once per (attribute, rule) pair."""
+    """Drop the unprotected attributes some rule matches: the rule is
+    unscoped or scoped to the attribute's type, and its glob matches the
+    value, case-insensitively. Each pattern and each value is lowercased
+    once, not once per (attribute, rule) pair."""
     rules = [(rule.type_scope, rule.pattern.lower()) for rule in denylist]
     kept = []
     for a in event.attributes:
         if not _protected(event, a):
             value = a.value.lower()
-            if any(_rule_matches(scope, pattern, a.type, value) for scope, pattern in rules):
+            if any((scope is None or a.type == scope) and fnmatchcase(value, pattern) for scope, pattern in rules):
                 continue
         kept.append(a)
     return replace(event, attributes=kept)

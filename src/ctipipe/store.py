@@ -3,12 +3,10 @@
 New event and attribute ids continue from the largest ids in the store, so
 ids stay unique across process restarts. Opening a store only reads it; a
 store has a single writer, whose commits start from the state read at open.
-Every commit but one replaces the whole file through a temp file, so a
-failed commit leaves the store as it was. The exception is
-:meth:`EventStore.append`, which writes its one line in place and truncates
-it away again if the write fails. The bytes after the last newline (a torn
+Every commit replaces the whole file through a temp file, so a failed
+commit leaves the store as it was. The bytes after the last newline (a torn
 write) are not committed: reading ignores them and the next commit removes
-them, so an appended event is stored whole or not at all.
+them, so a committed event is stored whole or not at all.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ class CorruptStoreError(StoreError):
         super().__init__(f"{path}:{line_number}: {reason}")
 
 
-def _read_store(path: Path) -> tuple[list[Event], int]:
-    """Parse the store file; returns (events, byte length of the committed prefix).
+def _read_store(path: Path) -> list[Event]:
+    """Parse the store file into its committed events.
 
     A line counts as committed only once its newline is on disk, so an
     unterminated tail (torn final write) is skipped with a warning even if it
@@ -44,7 +42,6 @@ def _read_store(path: Path) -> tuple[list[Event], int]:
     """
     blob = path.read_bytes()
     events: list[Event] = []
-    valid_bytes = 0
     line_number = 0
     offset = 0
     while True:
@@ -60,10 +57,9 @@ def _read_store(path: Path) -> tuple[list[Event], int]:
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             raise CorruptStoreError(path, line_number, str(exc)) from exc
         offset = newline + 1
-        valid_bytes = offset
     if blob[offset:].strip():
         log.warning("%s: ignoring %d uncommitted trailing bytes", path, len(blob) - offset)
-    return events, valid_bytes
+    return events
 
 
 def atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -92,15 +88,12 @@ def load_all(path: str | Path) -> list[Event]:
 
 class EventStore:
     """One store file, read at open. Opening never writes; the single
-    writer's :meth:`append` and :meth:`rewrite` both write from the state
-    read at open, so a concurrent writer's commits would be lost."""
+    writer's commits all go through :meth:`rewrite`, from the state read at
+    open, so a concurrent writer's commits would be lost."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._events: list[Event] = []
-        self._length = 0  # bytes up to the last newline: the committed store
-        if self.path.exists():
-            self._events, self._length = _read_store(self.path)
+        self._events = _read_store(self.path) if self.path.exists() else []
 
     def events(self) -> list[Event]:
         return list(self._events)
@@ -109,29 +102,9 @@ class EventStore:
         return len(self._events)
 
     def append(self, event: Event) -> Event:
-        """Commit one event under the next ids and return the stored copy.
-
-        Truncates the file to its committed length, which drops a torn tail,
-        then writes one line at the end and fsyncs once; if that fails, the
-        file is truncated back to the committed length.
-        """
-        [stored] = self._numbered(self._events, [event])
-        line = (json.dumps(event_to_document(stored)) + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            os.ftruncate(descriptor, self._length)
-            unwritten = memoryview(line)
-            while unwritten:
-                unwritten = unwritten[os.write(descriptor, unwritten):]
-            os.fsync(descriptor)
-        except BaseException:
-            os.ftruncate(descriptor, self._length)
-            raise
-        finally:
-            os.close(descriptor)
-        self._length += len(line)
-        self._events.append(stored)
+        """Commit one event, as a one-event :meth:`extend` that rewrites the
+        whole store; commit many events with one :meth:`extend`."""
+        [stored] = self.extend([event])
         return stored
 
     def extend(self, events: list[Event]) -> list[Event]:
@@ -168,11 +141,10 @@ class EventStore:
     def rewrite(self, events: list[Event]) -> None:
         """Atomically replace the store content, keeping the given ids.
 
-        Every commit but :meth:`append` goes through here: :meth:`extend`,
+        Every commit goes through here: :meth:`append`, :meth:`extend`,
         :meth:`rebuild` and the filtering stage, which rewrites events rather
         than adding new ones.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(self.path, (json.dumps(event_to_document(event)) + "\n" for event in events))
-        self._length = self.path.stat().st_size
         self._events = list(events)

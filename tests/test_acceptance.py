@@ -125,7 +125,7 @@ def test_04_category_oracle():
 def test_05_round_trips(tmp_path):
     rng = random.Random(424242)
     store = EventStore(tmp_path / "events.jsonl")
-    stored = [store.append(random_event(rng)) for _ in range(1000)]
+    stored = store.extend([random_event(rng) for _ in range(1000)])
     loaded = load_all(tmp_path / "events.jsonl")
     assert loaded == stored
     for event in loaded:

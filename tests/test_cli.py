@@ -386,7 +386,17 @@ class TestFilter:
         config = write_config(tmp_path, GOLDEN_DIR / "reports", denylist=denylist)
         (tmp_path / "events.jsonl").write_text("not json\n")
         assert run(config, "filter") == 1
-        assert "empty pattern" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "empty pattern" in err and str(denylist) in err
+
+    def test_missing_denylist_is_a_config_error(self, golden_config, tmp_path, capsys):
+        run(golden_config, "ingest")
+        before = (tmp_path / "events.jsonl").read_bytes()
+        missing = tmp_path / "missing.txt"
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", denylist=missing)
+        assert run(config, "filter") == 1
+        assert str(missing) in capsys.readouterr().err
+        assert (tmp_path / "events.jsonl").read_bytes() == before
 
 
 class TestStats:

@@ -20,7 +20,6 @@ from ctipipe.correlation import (
     Link,
     build_graph,
     canonical_name,
-    event_set_similarity,
     exact_edges,
     find_path,
     fuzzy_edges,
@@ -31,10 +30,11 @@ from ctipipe.correlation import (
     name_similarity,
     temporal_timeline,
 )
-from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT
+from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT, distinct_pairs
 from ctipipe.store import atomic_write, load_all
 
 from conftest import DATA_DIR, random_event
+from test_filtering import jaccard
 
 DATE = dt.date(2017, 1, 1)
 
@@ -625,6 +625,12 @@ class TestEdgeOrder:
         edge = Edge(1, 2, EXACT, "other", "x", "x", 1.0)
         assert edge == (1, 2, "exact", "other", "x", "x", 1.0)
         assert Edge._fields == ("a", "b", "kind", "data_type", "value_a", "value_b", "weight")
+
+
+def event_set_similarity(a, b):
+    """The Jaccard index over two event sets' distinct (type, value) pairs,
+    back-links excluded: the set similarity noise scoring averages."""
+    return jaccard(distinct_pairs(a), distinct_pairs(b))
 
 
 class TestEventSetSimilarity:

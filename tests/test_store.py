@@ -7,6 +7,7 @@ import stat
 
 import pytest
 
+import ctipipe.store as store_module
 from ctipipe.enrichment import fetch_analysis
 from ctipipe.events import (
     Attribute,
@@ -31,8 +32,7 @@ def simple_event(info="a_report.pdf"):
 class TestAppendLoad:
     def test_two_event_round_trip(self, tmp_path):
         store = EventStore(tmp_path / "events.jsonl")
-        first = store.append(simple_event("one.pdf"))
-        second = store.append(simple_event("two.pdf"))
+        first, second = store.extend([simple_event("one.pdf"), simple_event("two.pdf")])
         assert (first.id, second.id) == (1, 2)
         loaded = load_all(tmp_path / "events.jsonl")
         assert loaded == [first, second]
@@ -51,16 +51,15 @@ class TestAppendLoad:
             Attribute("Other", "", "a", "other"),
             Attribute("Other", "", "b", "other"),
         ])
-        first = store.append(event)
-        second = store.append(event)
+        first, second = store.extend([event, event])
         assert [a.id for a in first.attributes] == [1, 2]
         assert [a.id for a in second.attributes] == [3, 4]
 
     def test_ids_survive_restart(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        EventStore(path).append(simple_event())
+        EventStore(path).extend([simple_event()])
         reopened = EventStore(path)
-        second = reopened.append(simple_event("later.pdf"))
+        [second] = reopened.extend([simple_event("later.pdf")])
         assert second.id == 2
         assert second.attributes[0].id == 2
         ids = [e.id for e in load_all(path)]
@@ -69,7 +68,7 @@ class TestAppendLoad:
     def test_randomized_round_trip(self, tmp_path):
         rng = random.Random(7)
         store = EventStore(tmp_path / "events.jsonl")
-        stored = [store.append(random_event(rng)) for _ in range(120)]
+        stored = store.extend([random_event(rng) for _ in range(120)])
         assert load_all(tmp_path / "events.jsonl") == stored
 
 
@@ -80,10 +79,11 @@ class TestGoldenFile:
             Indicator(IndicatorKind.CVE, "CVE-2010-0232", "r", 0),
             Indicator(IndicatorKind.IP, "64.120.128.154", "r", 0),
         ]
-        store = EventStore(tmp_path / "events.jsonl")
-        store.append(build_report_event(CLEAVER_TITLE, CLEAVER_DATE, indicators))
         record = fetch_analysis(CLEAVER_MD5, golden_provider)
-        store.append(build_malware_event(CLEAVER_MD5, record, CLEAVER_TITLE, CLEAVER_DATE))
+        EventStore(tmp_path / "events.jsonl").extend([
+            build_report_event(CLEAVER_TITLE, CLEAVER_DATE, indicators),
+            build_malware_event(CLEAVER_MD5, record, CLEAVER_TITLE, CLEAVER_DATE),
+        ])
         assert (tmp_path / "events.jsonl").read_bytes() == GOLDEN_STORE.read_bytes()
 
     def test_golden_file_reloads_and_reserializes(self, tmp_path):
@@ -96,8 +96,7 @@ class TestGoldenFile:
 class TestCrashRecovery:
     def test_corrupt_line_reports_line_number(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        store = EventStore(path)
-        store.append(simple_event())
+        EventStore(path).extend([simple_event()])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{not json}\n")
         with pytest.raises(CorruptStoreError) as err:
@@ -106,15 +105,15 @@ class TestCrashRecovery:
 
     def test_partial_trailing_line_tolerated(self, tmp_path, caplog):
         path = tmp_path / "events.jsonl"
-        EventStore(path).append(simple_event())
+        EventStore(path).extend([simple_event()])
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"id": 2, "date": "2015-')  # interrupted append
+            handle.write('{"id": 2, "date": "2015-')  # interrupted write
         loaded = load_all(path)
         assert len(loaded) == 1
 
     def test_open_is_read_only(self, tmp_path, caplog):
         path = tmp_path / "events.jsonl"
-        EventStore(path).append(simple_event())
+        EventStore(path).extend([simple_event()])
         with open(path, "ab") as handle:
             handle.write(b'{"id": 2, "da')
         before = path.read_bytes()
@@ -130,32 +129,37 @@ class TestCrashRecovery:
     def test_commits_create_the_directory(self, tmp_path):
         appended = EventStore(tmp_path / "a" / "events.jsonl").append(simple_event())
         extended = EventStore(tmp_path / "b" / "events.jsonl").extend([simple_event()])
+        rebuilt = EventStore(tmp_path / "c" / "events.jsonl").rebuild([simple_event()])
         assert load_all(tmp_path / "a" / "events.jsonl") == [appended]
         assert load_all(tmp_path / "b" / "events.jsonl") == extended
+        assert load_all(tmp_path / "c" / "events.jsonl") == rebuilt
 
     def test_append_after_partial_line_truncates(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        EventStore(path).append(simple_event())
+        EventStore(path).extend([simple_event()])
+        committed = path.read_bytes()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"id": 2, "da')
         store = EventStore(path)
-        appended = store.append(simple_event("next.pdf"))
+        [appended] = store.extend([simple_event("next.pdf")])
         assert appended.id == 2
+        line = json.dumps(event_to_document(appended)) + "\n"
+        assert path.read_bytes() == committed + line.encode("utf-8")  # the torn tail is gone
         assert [e.id for e in load_all(path)] == [1, 2]
 
     def test_unterminated_line_is_uncommitted_even_if_parseable(self, tmp_path):
         # a torn write can stop exactly at the closing brace; without its
-        # newline the record does not count, or the next append would glue
-        # two documents onto one line
+        # newline the record does not count, or the next commit would keep
+        # an event that was never committed
         path = tmp_path / "events.jsonl"
         store = EventStore(path)
-        first = store.append(simple_event())
+        [first] = store.extend([simple_event()])
         second_line = json.dumps(event_to_document(simple_event("torn.pdf"))).encode()
         with open(path, "ab") as handle:
             handle.write(second_line)  # no newline
         assert load_all(path) == [first]
         reopened = EventStore(path)
-        appended = reopened.append(simple_event("next.pdf"))
+        [appended] = reopened.extend([simple_event("next.pdf")])
         assert [e.info for e in load_all(path)] == ["a_report.pdf", "next.pdf"]
         assert appended.id == 2
 
@@ -164,7 +168,7 @@ class TestRewrite:
     def test_rewrite_preserves_ids(self, tmp_path):
         path = tmp_path / "events.jsonl"
         store = EventStore(path)
-        events = [store.append(simple_event(f"r{i}.pdf")) for i in range(3)]
+        events = store.extend([simple_event(f"r{i}.pdf") for i in range(3)])
         events[1].attributes = []
         store.rewrite(events)
         assert [e.id for e in load_all(path)] == [1, 2, 3]
@@ -173,16 +177,16 @@ class TestRewrite:
     def test_append_after_rewrite_continues_ids(self, tmp_path):
         path = tmp_path / "events.jsonl"
         store = EventStore(path)
-        for i in range(3):
-            store.append(simple_event(f"r{i}.pdf"))
+        store.extend([simple_event(f"r{i}.pdf") for i in range(3)])
         store.rewrite(store.events()[:2])
-        appended = store.append(simple_event("new.pdf"))
+        [appended] = store.extend([simple_event("new.pdf")])
         assert appended.id == 3
+        assert [e.id for e in load_all(path)] == [1, 2, 3]
 
     def test_extend_commits_batch_with_continuing_ids(self, tmp_path):
         path = tmp_path / "events.jsonl"
         store = EventStore(path)
-        first = store.append(simple_event("r0.pdf"))
+        [first] = store.extend([simple_event("r0.pdf")])
         batch = store.extend([simple_event("r1.pdf"), simple_event("r2.pdf")])
         assert [e.id for e in batch] == [2, 3]
         assert [a.id for e in batch for a in e.attributes] == [2, 3]
@@ -248,7 +252,7 @@ class TestAtomicWrite:
     def test_failed_extend_keeps_store(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
         store = EventStore(path)
-        store.append(simple_event())
+        store.extend([simple_event()])
         before = path.read_bytes()
         monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
@@ -257,7 +261,7 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         monkeypatch.undo()
         assert store.events() == load_all(path)
-        assert store.append(simple_event("r3.pdf")).id == 2
+        assert store.extend([simple_event("r3.pdf")])[0].id == 2
 
     def test_rebuild_restarts_ids_in_one_commit(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
@@ -279,41 +283,22 @@ class TestAtomicWrite:
         assert load_all(path) == rebuilt == store.events()
 
 
-class TestInPlaceAppend:
-    def test_append_writes_one_line_with_one_fsync(self, tmp_path, monkeypatch):
+class TestAppend:
+    def test_append_commits_through_rewrite(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
         store = EventStore(path)
-        store.extend([simple_event("r0.pdf"), simple_event("r1.pdf")])
+        store.extend([simple_event("r0.pdf")])
         before = path.read_bytes()
-        inode = path.stat().st_ino
-        fsyncs = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda descriptor: fsyncs.append(real_fsync(descriptor)))
-        appended = store.append(simple_event("r2.pdf"))
-        assert len(fsyncs) == 1
-        assert path.stat().st_ino == inode  # written in place, not replaced
-        line = json.dumps(event_to_document(appended)) + "\n"
-        assert path.read_bytes() == before + line.encode("utf-8")
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
-    def test_failed_append_truncates_back(self, tmp_path, monkeypatch, fail_at):
-        path = tmp_path / "events.jsonl"
-        store = EventStore(path)
-        store.append(simple_event("r0.pdf"))
-        before = path.read_bytes()
-        real_write = os.write
-
-        def torn_write(descriptor, data):
-            real_write(descriptor, bytes(data[: len(data) // 2]))
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "write" if fail_at == "write" else "fsync",
-                            torn_write if fail_at == "write" else failing_fsync)
+        monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
             store.append(simple_event("r1.pdf"))
-        monkeypatch.undo()
         assert path.read_bytes() == before
-        assert len(store) == 1
-        assert store.append(simple_event("r2.pdf")).id == 2
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        monkeypatch.undo()
+        writes = []
+        monkeypatch.setattr(store_module, "atomic_write", lambda *args: writes.append(atomic_write(*args)))
+        appended = store.append(simple_event("r2.pdf"))
+        assert appended.id == 2 and len(writes) == 1
+        line = json.dumps(event_to_document(appended)) + "\n"
+        assert path.read_bytes() == before + line.encode("utf-8")
         assert load_all(path) == store.events()
