@@ -22,11 +22,12 @@ _EXPORTS = {
         "fuzzy_edges", "temporal_timeline",
     ),
     "enrichment": (
-        "AnalysisRecord", "EnrichmentResult", "enrich_transitively", "fetch_analysis", "record_to_attributes",
+        "AnalysisRecord", "EnrichmentResult", "build_malware_event", "enrich_transitively", "fetch_analysis",
+        "record_to_attributes",
     ),
     "events": (
-        "Attribute", "Event", "EventSet", "build_malware_event", "build_report_event", "document_to_event",
-        "event_to_document", "group_event_sets",
+        "Attribute", "Event", "EventSet", "build_report_event", "document_to_event", "event_to_document",
+        "group_event_sets",
     ),
     "extraction": ("Indicator", "IndicatorKind", "classify_hash", "extract_indicators", "normalize_defanged"),
     "filtering": (

@@ -13,8 +13,8 @@ from .events import (
     MALWARE,
     REPORT,
     group_event_sets,
-    is_back_link,
     report_hashes,
+    value_holders,
 )
 from .extraction import is_valid_hash, looks_like_hostname
 
@@ -26,11 +26,6 @@ class CategoryLabel(Enum):
     MALWARE_IN_REPORT = "malware_in_report"
     BOTH = "both"
     MALWARE_NEW = "malware_new"
-
-
-def _caseless(value: str) -> bool:
-    # Hashes and hostnames compare case-insensitively against report text.
-    return is_valid_hash(value) or looks_like_hostname(value)
 
 
 def classify_category(
@@ -45,58 +40,47 @@ def classify_category(
     results is split on whether the report text actually contained it (the
     parser simply missed it) or not (genuinely new data).
     """
-    return _classify(value, parser_values, malware_values, report_text, report_text.lower())
-
-
-def _classify(
-    value: str,
-    parser_values: set[str],
-    malware_values: set[str],
-    report_text: str,
-    lowered_text: str,
-) -> CategoryLabel:
-    """:func:`classify_category` with the report text lowercased by the
-    caller, once per report."""
     in_parser = value in parser_values
     in_malware = value in malware_values
     if not in_parser and not in_malware:
         raise ValueError(f"{value!r} is in neither value set")
-    if in_parser and in_malware:
-        return CategoryLabel.BOTH
     if in_parser:
-        return CategoryLabel.PARSER_ONLY
-    if _caseless(value):
-        contained = value.lower() in lowered_text
-    else:
-        contained = value in report_text
-    return CategoryLabel.MALWARE_IN_REPORT if contained else CategoryLabel.MALWARE_NEW
+        return CategoryLabel.BOTH if in_malware else CategoryLabel.PARSER_ONLY
+    in_report = _in_report(value, report_text, report_text.lower())
+    return CategoryLabel.MALWARE_IN_REPORT if in_report else CategoryLabel.MALWARE_NEW
 
 
-def _set_value_sides(event_set: EventSet) -> tuple[set[str], set[str]]:
-    parser_values = {a.value for a in event_set.report_event.attributes}
-    malware_values = {
-        a.value
-        for event in event_set.malware_events
-        for a in event.attributes
-        if not is_back_link(a)
-    }
-    return parser_values, malware_values
+def _in_report(value: str, report_text: str, lowered_text: str) -> bool:
+    """Whether the report text contains ``value``, caselessly for hashes and
+    hostnames; the caller lowercases the text once per report."""
+    if is_valid_hash(value) or looks_like_hostname(value):
+        return value.lower() in lowered_text
+    return value in report_text
 
 
 def category_counts(
     event_sets: list[EventSet],
     report_texts: dict[str, str],
 ) -> dict[CategoryLabel, int]:
-    """Label every value of every event set; counts are per (set, value)."""
+    """Label every value of every event set, as :func:`classify_category`
+    does; counts are per (set, value)."""
     counts = {label: 0 for label in CategoryLabel}
     for event_set in event_sets:
         text = report_texts.get(event_set.report_title)
         if text is None:
             raise ValueError(f"no report text for {event_set.report_title!r}")
         lowered = text.lower()
-        parser_values, malware_values = _set_value_sides(event_set)
-        for value in sorted(parser_values | malware_values):
-            counts[_classify(value, parser_values, malware_values, text, lowered)] += 1
+        # Side 0 is the report event, side 1 the malware events.
+        holders = value_holders(((0, [event_set.report_event]), (1, event_set.malware_events))).items()
+        parser_values = {value for (_, value), sides in holders if sides[0] == 0}
+        malware_values = {value for (_, value), sides in holders if sides[-1] == 1}
+        both = len(parser_values & malware_values)
+        counts[CategoryLabel.BOTH] += both
+        counts[CategoryLabel.PARSER_ONLY] += len(parser_values) - both
+        analysis_only = malware_values - parser_values
+        in_report = sum(_in_report(value, text, lowered) for value in analysis_only)
+        counts[CategoryLabel.MALWARE_IN_REPORT] += in_report
+        counts[CategoryLabel.MALWARE_NEW] += len(analysis_only) - in_report
     return counts
 
 

@@ -24,7 +24,6 @@ from .config import ConfigError, PipelineConfig, load_config
 from .events import (
     MALWARE,
     REPORT,
-    build_malware_event,
     build_report_event,
     event_to_json,
     group_event_sets,
@@ -93,8 +92,8 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
     reports = _report_files(config)
     if not reports:
         raise StoreError(f"no *.txt reports in {config.reports_dir}")
-    store = EventStore(config.store_path)
-    if len(store) and not args.force:
+    store = EventStore(config.store_path, read=not args.force)
+    if len(store):
         raise StoreError(
             f"{config.store_path} already contains {len(store)} events; re-run with --force to rebuild"
         )
@@ -120,7 +119,7 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
 
 
 def _cmd_enrich(config: PipelineConfig, args) -> int:
-    from .enrichment import EnrichmentResult, enrich_transitively, replay_closure
+    from .enrichment import EnrichmentResult, build_malware_event, enrich_transitively, replay_closure
 
     provider = config.make_provider()
     store = _open_store(config)

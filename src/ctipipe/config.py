@@ -100,10 +100,12 @@ def _parse_key_values(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if not key:
             raise ConfigError(f"line {number}: empty key")
-        if key.startswith("defang."):
-            data.setdefault("defang", {})[key[len("defang."):]] = value
-        elif key.startswith("provider."):
-            data.setdefault("provider", {})[key[len("provider."):]] = value
+        table, dot, name = key.partition(".")
+        nested = bool(dot) and table in ("defang", "provider")
+        if table in data and isinstance(data[table], dict) != nested:
+            raise ConfigError(f"line {number}: {key}: {table} is set both as one value and as {table}.* lines")
+        if nested:
+            data.setdefault(table, {})[name] = value
         else:
             data[key] = value
     return data
@@ -122,14 +124,14 @@ _NUMBERS = {
 
 
 def _numbers(data: dict, kinds: dict[str, type]) -> dict:
-    """The settings of ``kinds`` that ``data`` sets, each parsed as its kind.
+    """The settings of ``kinds`` that ``data`` sets, popped, each parsed as its kind.
     A JSON boolean is no number, and an integer setting takes no fraction:
     ``int()`` and ``float()`` would read ``true`` as 1 and cut 2.7 to 2."""
     numbers = {}
     for key, kind in kinds.items():
         if key not in data:
             continue
-        value = data[key]
+        value = data.pop(key)
         expected = "an integer" if kind is int else "a number"
         if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
             raise ConfigError(f"{key}: expected {expected}, got {value!r}")
@@ -165,23 +167,26 @@ def load_config(path: str | Path) -> PipelineConfig:
         value = Path(_string(key, value))
         return value if value.is_absolute() else (path.parent / value).resolve()
 
-    settings: dict = {}
-    provider = data.get("provider")
+    # Each setting read is popped from ``data``, so a key left names none.
+    settings = _numbers(data, _NUMBERS)
+    provider = data.pop("provider", None)
     if isinstance(provider, str):
         settings["provider_fixture"] = resolve("provider", provider)
     elif isinstance(provider, dict):
         try:
             settings["provider_live"] = LiveProviderConfig(
-                base_url=_string("provider.base_url", provider["base_url"]),
-                api_key_env=provider["api_key_env"],
+                base_url=_string("provider.base_url", provider.pop("base_url")),
+                api_key_env=provider.pop("api_key_env"),
                 **_numbers(provider, {"rate_limit": float}),
             )
         except KeyError as exc:
             raise ConfigError(f"provider: missing {exc.args[0]!r}") from exc
+        if provider:
+            raise ConfigError(f"unknown setting {', '.join('provider.' + key for key in provider)}")
     elif provider is not None:
         raise ConfigError("provider must be a fixture directory or a base_url/api_key_env table")
 
-    raw_extensions = data.get("extensions")
+    raw_extensions = data.pop("extensions", None)
     if raw_extensions is not None:
         items = raw_extensions.split(",") if isinstance(raw_extensions, str) else raw_extensions
         if not isinstance(items, list) or not all(isinstance(ext, str) for ext in items):
@@ -190,7 +195,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         if not settings["extensions"]:
             raise ConfigError("extensions: expected at least one file extension")
 
-    raw_defang = data.get("defang")
+    raw_defang = data.pop("defang", None)
     if raw_defang is not None:
         if not isinstance(raw_defang, dict):
             raise ConfigError("defang: expected a mapping of defanged -> plain text")
@@ -202,7 +207,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     for key in ("reports_dir", "store_path"):
         if data.get(key) is None:
             raise ConfigError(f"missing required setting {key!r}")
-        settings[key] = resolve(key, data[key])
-    if data.get("denylist") is not None:
-        settings["denylist_path"] = resolve("denylist", data["denylist"])
-    return PipelineConfig(**settings, **_numbers(data, _NUMBERS))
+        settings[key] = resolve(key, data.pop(key))
+    if (denylist := data.pop("denylist", None)) is not None:
+        settings["denylist_path"] = resolve("denylist", denylist)
+    if data:
+        raise ConfigError(f"unknown setting {', '.join(data)}")
+    return PipelineConfig(**settings)

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .events import Event, is_back_link
+from .events import Event, value_holders
 
 EXACT = "exact"
 FUZZY = "fuzzy"
@@ -85,9 +85,9 @@ class CorrelationGraph:
     def links(self) -> list[Link]:
         # Back-links are never name-like, so cross_set_only leaves the
         # similar pairs as they are.
-        owners = _owners(self.events, self.options.cross_set_only)
-        links = [Link(EXACT, data_type, value, ids, value, ids, 1.0)
-                 for (data_type, value), ids in owners.items() if len(ids) > 1]
+        owners = value_holders(((e.id, (e,)) for e in self.events), not self.options.cross_set_only)
+        links = [Link(EXACT, data_type, value, (ids := tuple(keys)), value, ids, 1.0)
+                 for (data_type, value), keys in owners.items() if len(keys) > 1]
         if self.options.fuzzy:
             links += _similar_values(owners, self.options.threshold)
         return links
@@ -217,16 +217,6 @@ def name_similarity(value_a: str, value_b: str, data_type: str) -> float:
     return lcs_ratio(canonical_name(value_a, data_type), canonical_name(value_b, data_type))
 
 
-def _owners(events: list[Event], cross_set_only: bool = False) -> dict[tuple[str, str], tuple[int, ...]]:
-    """The distinct ids of the events holding each (type, value), ascending."""
-    owners: dict[tuple[str, str], dict[int, None]] = {}
-    for event in sorted(events, key=lambda e: e.id):
-        for a in event.attributes:
-            if not (cross_set_only and is_back_link(a)):
-                owners.setdefault((a.type, a.value), {})[event.id] = None
-    return {pair: tuple(ids) for pair, ids in owners.items()}
-
-
 def exact_edges(events: list[Event], *, cross_set_only: bool = False) -> list[Edge]:
     """One edge per event pair per identical (type, value).
 
@@ -240,11 +230,11 @@ def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD)
     """Similarity edges between distinct name-like values of the same type, one
     per event pair across each pair of :func:`_similar_values`, none to itself."""
     graph = CorrelationGraph({})
-    graph.links = _similar_values(_owners(events), threshold)
+    graph.links = _similar_values(value_holders((e.id, (e,)) for e in events), threshold)
     return list(graph.edges())
 
 
-def _similar_values(owners: dict[tuple[str, str], tuple[int, ...]], threshold: float) -> list[Link]:
+def _similar_values(owners: dict[tuple[str, str], list[int]], threshold: float) -> list[Link]:
     """One fuzzy link for each pair of distinct name-like values of one type
     whose similarity reaches ``threshold``, weight rounded to 9 places.
 
@@ -260,7 +250,7 @@ def _similar_values(owners: dict[tuple[str, str], tuple[int, ...]], threshold: f
         if data_type not in NAME_LIKE_TYPES:
             continue
         canonical = canonical_name(value, data_type)
-        groups.setdefault(data_type, {}).setdefault(canonical, []).append((value, ids))
+        groups.setdefault(data_type, {}).setdefault(canonical, []).append((value, tuple(ids)))
 
     similar = []
     for data_type, by_canonical in groups.items():

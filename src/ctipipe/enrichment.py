@@ -23,6 +23,8 @@ from .events import (
     CATEGORY_NETWORK,
     CATEGORY_OTHER,
     CATEGORY_PAYLOAD,
+    MALWARE,
+    Event,
 )
 from .extraction import classify_hash, is_valid_hash, is_valid_ip
 from .providers import AnalysisDataError, AnalysisProvider, ProviderError
@@ -306,3 +308,23 @@ def record_to_attributes(record: AnalysisRecord, origin_report: str) -> list[Att
         attributes.append(Attribute(CATEGORY_ARTIFACTS, "", value, "other"))
     attributes.append(Attribute(CATEGORY_OTHER, "", origin_report, "comment"))
     return attributes
+
+
+def build_malware_event(
+    hash_value: str,
+    record: AnalysisRecord | None,
+    origin: str,
+    fallback_date: dt.date,
+) -> Event:
+    """Build a malware event for ``hash_value``.
+
+    The event date is the analysis compile timestamp when known, otherwise the
+    originating report's publication date. Without analysis the record is the
+    hash alone, so the event carries just its own hash and the back-link.
+    """
+    kind = classify_hash(hash_value).value
+    hash_value = hash_value.lower()
+    if record is None:
+        record = AnalysisRecord(**{kind: hash_value})
+    date = record.compile_timestamp.date() if record.compile_timestamp else fallback_date
+    return Event(0, date, hash_value, MALWARE, record_to_attributes(record, origin))

@@ -7,12 +7,10 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import Iterable
 
-from .extraction import Indicator, IndicatorKind, classify_hash
-
-if TYPE_CHECKING:
-    from .enrichment import AnalysisRecord
+from .extraction import Indicator, IndicatorKind
 
 REPORT = "report"
 MALWARE = "malware"
@@ -74,14 +72,28 @@ def event_kind(attributes: list[Attribute], event_id: int) -> str:
     return MALWARE if count else REPORT
 
 
-def distinct_pairs(event_set: EventSet) -> set[tuple[str, str]]:
-    """Distinct (type, value) pairs across the whole set, back-links excluded."""
-    pairs: set[tuple[str, str]] = set()
-    for event in [event_set.report_event, *event_set.malware_events]:
-        for attribute in event.attributes:
-            if not is_back_link(attribute):
-                pairs.add((attribute.type, attribute.value))
-    return pairs
+def value_holders(
+    groups: Iterable[tuple[int, Iterable[Event]]],
+    count_back_links: bool = False,
+) -> dict[tuple[str, str], list[int]]:
+    """Map each (type, value) held by the events of ``groups``, pairs of a
+    key and events, to the keys of the groups holding it, ascending and
+    distinct. Back-links are skipped unless ``count_back_links``.
+
+    This is the one scan of who holds a value: correlation keys a group by
+    event id, noise scoring by event set, the statistics by side of a set."""
+    holders: dict[tuple[str, str], list[int]] = {}
+    for key, events in sorted(groups, key=itemgetter(0)):
+        for event in events:
+            for a in event.attributes:
+                if count_back_links or not is_back_link(a):
+                    pair = (a.type, a.value)
+                    keys = holders.get(pair)
+                    if keys is None:
+                        holders[pair] = [key]
+                    elif keys[-1] != key:
+                        keys.append(key)
+    return holders
 
 
 def report_hashes(event: Event) -> set[str]:
@@ -115,34 +127,6 @@ def build_report_event(title: str, publication_date: dt.date, indicators: list[I
         category, type_token = _INDICATOR_ATTRIBUTE[indicator.kind]
         attributes.append(Attribute(category, "", indicator.value, type_token))
     return Event(0, publication_date, title, REPORT, attributes)
-
-
-def build_malware_event(
-    hash_value: str,
-    record: "AnalysisRecord | None",
-    origin: str,
-    fallback_date: dt.date,
-) -> Event:
-    """Build a malware event for ``hash_value``.
-
-    The event date is the analysis compile timestamp when known, otherwise the
-    originating report's publication date. Without analysis the event carries
-    just its own hash and the back-link.
-    """
-    hash_kind = classify_hash(hash_value)
-    hash_value = hash_value.lower()
-    if record is not None:
-        from .enrichment import record_to_attributes
-
-        attributes = record_to_attributes(record, origin)
-        date = record.compile_timestamp.date() if record.compile_timestamp else fallback_date
-    else:
-        attributes = [
-            Attribute(CATEGORY_PAYLOAD, "", hash_value, hash_kind.value),
-            Attribute(CATEGORY_OTHER, "", origin, "comment"),
-        ]
-        date = fallback_date
-    return Event(0, date, hash_value, MALWARE, attributes)
 
 
 def event_to_document(event: Event) -> dict:

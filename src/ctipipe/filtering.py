@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from .config import ConfigError
@@ -23,7 +23,7 @@ from .events import (
     EventSet,
     HASH_TYPES,
     MALWARE,
-    distinct_pairs,
+    value_holders,
 )
 
 
@@ -165,13 +165,10 @@ def contextual_noise_scores(dataset: list[EventSet], threshold: float = 0.7) -> 
     if len(dataset) < 2:
         raise ValueError("need at least two event sets to score noise")
 
-    set_pairs = [distinct_pairs(event_set) for event_set in dataset]
-    sizes = [len(pairs) for pairs in set_pairs]
     total = len(dataset)
-    holders: dict[tuple[str, str], list[int]] = {}
-    for index, pairs in enumerate(set_pairs):
-        for pair in pairs:
-            holders.setdefault(pair, []).append(index)
+    holders = value_holders(enumerate([event_set.report_event, *event_set.malware_events] for event_set in dataset))
+    held_pairs = Counter(chain.from_iterable(holders.values()))
+    sizes = [held_pairs[i] for i in range(total)]  # |X|, the pairs set X holds
     shared = [0] * (total * total)  # |A∩B| of sets i < j at i * total + j
     by_value: dict[str, list[list[int]]] = {}
     for (_, value), indices in holders.items():

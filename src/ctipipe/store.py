@@ -89,11 +89,12 @@ def load_all(path: str | Path) -> list[Event]:
 class EventStore:
     """One store file, read at open. Opening never writes; the single
     writer's commits all go through :meth:`rewrite`, from the state read at
-    open, so a concurrent writer's commits would be lost."""
+    open, so a concurrent writer's commits would be lost. ``read=False``
+    skips the file, even a corrupt one, for a :meth:`rebuild` to replace."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, *, read: bool = True):
         self.path = Path(path)
-        self._events = _read_store(self.path) if self.path.exists() else []
+        self._events = _read_store(self.path) if read and self.path.exists() else []
 
     def events(self) -> list[Event]:
         return list(self._events)

@@ -153,6 +153,20 @@ class TestIngest:
         assert run(golden_config, "ingest", "--force") == 0
         assert (tmp_path / "events.jsonl").read_bytes() == first
 
+    def test_corrupt_store_rebuilt_only_with_force(self, golden_config, tmp_path, capsys):
+        assert run(golden_config, "ingest") == 0
+        store = tmp_path / "events.jsonl"
+        clean = store.read_bytes()
+        first, second = clean.splitlines(keepends=True)
+        store.write_bytes(first + second[:20] + b"\n")
+        corrupt = store.read_bytes()
+        capsys.readouterr()
+        assert run(golden_config, "ingest") == 2
+        assert f"{store}:2:" in capsys.readouterr().err
+        assert store.read_bytes() == corrupt
+        assert run(golden_config, "ingest", "--force") == 0
+        assert store.read_bytes() == clean
+
     def test_duplicate_titles_rejected_before_writing(self, tmp_path, capsys):
         reports = tmp_path / "reports"
         reports.mkdir()

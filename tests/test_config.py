@@ -1,9 +1,14 @@
+import importlib.util
 import json
 import re
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from ctipipe.cli import run_command
 from ctipipe.config import ConfigError, LiveProviderConfig, PipelineConfig, load_config
 from ctipipe.providers import FixtureProvider, HttpProvider
 
@@ -239,6 +244,55 @@ class TestJsonFormat:
     def test_invalid_json(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "{broken"))
+
+
+class TestUnknownKeys:
+    """Every key a file sets is read: a misspelt or misplaced one is refused,
+    naming it, instead of leaving its setting at the default."""
+
+    @pytest.mark.parametrize("lines, key", [
+        ("noise_treshold = 0.01", "noise_treshold"),
+        ("max_worker = 0", "max_worker"),
+        ("provider = analyses\nprovider.rate_limt = 2", "provider.rate_limt"),
+        (LIVE + "provider.rate_limt = 2", "provider.rate_limt"),
+        (LIVE + "provider.ratelimit = 2", "provider.ratelimit"),
+        # A fixture directory and a live table are two values of one setting.
+        ("provider = analyses\nprovider.rate_limit = 2", "provider.rate_limit"),
+        (LIVE + "provider = analyses", "provider"),
+        ("store_path.x = 1", "store_path.x"),
+    ])
+    def test_key_value_file(self, tmp_path, lines, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(write(tmp_path, BASE + lines + "\n"))
+
+    @pytest.mark.parametrize("setting, key", [
+        ({"noise_treshold": 0.01}, "noise_treshold"),
+        ({"max_worker": 0}, "max_worker"),
+        ({"provider": {"base_url": "https://a.example/api", "api_key_env": "K", "rate_limt": 2}},
+         "provider.rate_limt"),
+    ])
+    def test_json_file(self, tmp_path, setting, key):
+        document = {"reports_dir": "r", "store_path": "s.jsonl", **setting}
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(write(tmp_path, json.dumps(document)))
+
+    def test_cli_refuses_before_running(self, tmp_path, capsys):
+        config = write(tmp_path, BASE + "noise_treshold = 0.01\n")
+        assert run_command(["-c", str(config), "filter"]) == 1
+        assert "noise_treshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("provider_url", [None, "http://127.0.0.1:9/api"])
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch, provider_url):
+        path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location("bench_corpus", path)
+        corpus = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, corpus)  # its dataclasses look their module up
+        spec.loader.exec_module(corpus)
+        workload = SimpleNamespace(config_path=tmp_path / "pipeline.conf", depth=2, threshold=0.8, noise_threshold=0.7)
+        corpus.write_config(workload, provider_url)
+        config = load_config(workload.config_path)
+        assert config.max_workers == 2
+        assert (config.provider_fixture is None) == (provider_url is not None)
 
 
 def test_missing_file(tmp_path):

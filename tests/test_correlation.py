@@ -30,11 +30,11 @@ from ctipipe.correlation import (
     name_similarity,
     temporal_timeline,
 )
-from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT, distinct_pairs
+from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT
 from ctipipe.store import atomic_write, load_all
 
 from conftest import DATA_DIR, random_event
-from test_filtering import jaccard
+from test_filtering import distinct_pairs, jaccard
 
 DATE = dt.date(2017, 1, 1)
 

@@ -3,17 +3,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ctipipe.enrichment import AnalysisRecord
+from ctipipe.enrichment import AnalysisRecord, build_malware_event
 from ctipipe.events import (
     Attribute,
     Event,
     EventSet,
     MALWARE,
     REPORT,
-    build_malware_event,
     build_report_event,
     document_to_event,
     event_to_document,
@@ -21,6 +20,7 @@ from ctipipe.events import (
     group_event_sets,
     is_back_link,
     report_hashes,
+    value_holders,
 )
 from ctipipe.extraction import Indicator, IndicatorKind
 
@@ -236,6 +236,49 @@ class TestReportHashes:
             Attribute("Network activity", "", "aa" * 16, "hostname"),
         ])
         assert report_hashes(event) == {CLEAVER_MD5, CLEAVER_SHA1}
+
+
+# Few types and values, so values repeat within an event, across events and
+# under two types; "comment" under "Other" is a back-link, under another
+# category a plain value. A group may hold no event or an event without
+# attributes, and two groups may share a key.
+_holder_attributes = st.lists(st.builds(
+    Attribute,
+    st.sampled_from(["Other", "Artifacts dropped"]),
+    st.just(""),
+    st.sampled_from(["a", "b", "r.pdf"]),
+    st.sampled_from(["comment", "other", "filename"]),
+), max_size=5)
+_holder_groups = st.lists(st.tuples(
+    st.integers(0, 6),
+    st.lists(st.builds(Event, st.just(0), st.just(dt.date(2020, 1, 1)), st.just("e"), st.just(REPORT),
+                       _holder_attributes), max_size=3),
+), max_size=6)
+
+
+_HOLDER_EXAMPLE = [
+    (3, [Event(0, dt.date(2020, 1, 1), "e", MALWARE, [
+        Attribute("Other", "", "a", "other"), Attribute("Other", "", "a", "other"),
+        Attribute("Other", "", "a", "filename"), Attribute("Other", "", "r.pdf", "comment"),
+    ])]),
+    (1, []),
+    (2, [Event(0, dt.date(2020, 1, 1), "e", REPORT, [])]),
+    (1, [Event(0, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", "", "a", "other")])]),
+]
+
+
+def brute_force_holders(groups, count_back_links):
+    held = [(key, (a.type, a.value)) for key, events in groups for event in events for a in event.attributes
+            if count_back_links or not is_back_link(a)]
+    return {pair: sorted({key for key, other in held if other == pair}) for _, pair in held}
+
+
+class TestValueHolders:
+    @given(_holder_groups, st.booleans())
+    @example(_HOLDER_EXAMPLE, True)
+    @example(_HOLDER_EXAMPLE, False)
+    def test_matches_brute_force(self, groups, count_back_links):
+        assert value_holders(groups, count_back_links) == brute_force_holders(groups, count_back_links)
 
 
 class TestGrouping:

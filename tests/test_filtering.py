@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctipipe.events import Attribute, Event, EventSet, HASH_TYPES, MALWARE, REPORT, distinct_pairs
+from ctipipe.events import Attribute, Event, EventSet, HASH_TYPES, MALWARE, REPORT, is_back_link
 from ctipipe.filtering import (
     DEFAULT_DENYLIST,
     DenyRule,
@@ -311,6 +311,16 @@ def naive_noise_scores(dataset):
                 sims.append(len(left & right) / len(union) if union else 0.0)
         scores[value] = (len(holders) / len(dataset)) * (1 - sum(sims) / len(sims))
     return scores
+
+
+def distinct_pairs(event_set):
+    """Distinct (type, value) pairs across the whole set, back-links excluded."""
+    return {
+        (a.type, a.value)
+        for event in [event_set.report_event, *event_set.malware_events]
+        for a in event.attributes
+        if not is_back_link(a)
+    }
 
 
 def jaccard(a, b):

@@ -4,8 +4,11 @@ pool or statistics code. Each check runs a new interpreter and is judged
 against a bare one in the same environment, because ``site`` may already
 have loaded modules of its own."""
 
+import ast
 import importlib
 import sys
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +108,44 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(ctipipe, "no_such_name")
     assert ctipipe.__version__ == "0.1.0"
     assert "ctipipe.no_such_name" not in sys.modules
+
+
+def imported_modules(source: str) -> set[str]:
+    """The ``ctipipe`` modules a module's source imports anywhere: at the
+    top, inside functions and under ``if TYPE_CHECKING:``. The package
+    itself is ``__init__``."""
+    dotted = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative, so inside the package
+                module = f"ctipipe.{module}".rstrip(".")
+            dotted.update(f"{module}.{alias.name}" for alias in node.names)
+    parts = [name.split(".") for name in dotted]
+    return {(part + ["__init__"])[1] for part in parts if part[0] == "ctipipe"}
+
+
+def import_cycle(sources: dict[str, str]) -> list[str] | None:
+    graph = {module: imported_modules(source) & set(sources) for module, source in sources.items()}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def test_imports_form_no_cycle():
+    package = Path(ctipipe.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert "enrichment" in imported_modules(sources["cli"])  # imported inside a function
+    assert import_cycle(sources) is None
+
+
+def test_import_cycle_check_sees_every_import():
+    guarded = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .b import x\n"
+    local = "def f():\n    from ctipipe.a import y\n"
+    assert import_cycle({"a": guarded, "b": local}) in (["a", "b", "a"], ["b", "a", "b"])
+    assert import_cycle({"a": guarded, "b": "from . import c\n", "c": "import ctipipe.a\n"})
+    assert import_cycle({"a": guarded, "b": "import ctipipe\n"}) is None

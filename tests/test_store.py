@@ -8,12 +8,11 @@ import stat
 import pytest
 
 import ctipipe.store as store_module
-from ctipipe.enrichment import fetch_analysis
+from ctipipe.enrichment import build_malware_event, fetch_analysis
 from ctipipe.events import (
     Attribute,
     Event,
     REPORT,
-    build_malware_event,
     build_report_event,
     event_to_document,
 )
