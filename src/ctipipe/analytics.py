@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .enrichment import EnrichmentResult
 from .events import (
@@ -111,6 +112,11 @@ def category_percentages(
     return _largest_remainder_percentages(counts)
 
 
+def _csv(rows: Iterable[Iterable[object]]) -> str:
+    """Comma-joined cells, one line per row; no cell holds a comma or quote."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 # Exchange-table column layout: which attribute type tokens feed each column.
 TYPE_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("hash", ("md5", "sha1", "sha256")),
@@ -138,39 +144,30 @@ class TypeYearCounts:
         seen = set(self.attribute_counts) | set(self.report_events) | set(self.malware_events)
         return sorted(seen)
 
-    def token_count(self, year: int, token: str) -> int:
-        return self.attribute_counts.get(year, {}).get(token, 0)
-
     def year_total(self, year: int) -> int:
         return sum(self.attribute_counts.get(year, {}).values())
 
-    def _column_value(self, year: int, tokens: tuple[str, ...]) -> int:
-        return sum(self.token_count(year, token) for token in tokens)
-
     def rows(self) -> list[list[int | str]]:
+        """One row per year, then the column sums, in :meth:`header` order."""
         rows: list[list[int | str]] = []
         for year in self.years():
-            row: list[int | str] = [year]
-            row.extend(self._column_value(year, tokens) for _, tokens in TYPE_COLUMNS)
-            row.append(self.year_total(year))
-            row.append(self.report_events.get(year, 0))
-            row.append(self.malware_events.get(year, 0))
-            rows.append(row)
+            counts = self.attribute_counts.get(year, {})
+            rows.append([
+                year,
+                *(sum(counts.get(token, 0) for token in tokens) for _, tokens in TYPE_COLUMNS),
+                self.year_total(year),
+                self.report_events.get(year, 0),
+                self.malware_events.get(year, 0),
+            ])
         if rows:
-            totals: list[int | str] = ["total"]
-            for index in range(1, len(rows[0])):
-                totals.append(sum(int(row[index]) for row in rows))
-            rows.append(totals)
+            rows.append(["total", *map(sum, zip(*(row[1:] for row in rows)))])
         return rows
 
     def header(self) -> list[str]:
         return ["year", *(name for name, _ in TYPE_COLUMNS), "total", "report_events", "malware_events"]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header())]
-        for row in self.rows():
-            lines.append(",".join(str(cell) for cell in row))
-        return "\n".join(lines) + "\n"
+        return _csv([self.header(), *self.rows()])
 
     def to_text(self) -> str:
         header = self.header()
@@ -237,10 +234,8 @@ class PipelineSummary:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["metric,count,percent"]
-        for name, count, pct in self._rows():
-            lines.append(f"{name},{count},{pct:.1f}" if pct is not None else f"{name},{count},-")
-        return "\n".join(lines) + "\n"
+        rows = [(name, count, "-" if pct is None else f"{pct:.1f}") for name, count, pct in self._rows()]
+        return _csv([("metric", "count", "percent"), *rows])
 
 
 def pipeline_summary(events: list[Event], enrichment: EnrichmentResult) -> PipelineSummary:
@@ -260,9 +255,7 @@ def pipeline_summary(events: list[Event], enrichment: EnrichmentResult) -> Pipel
 
 
 def categories_to_csv(percentages: dict[CategoryLabel, int]) -> str:
-    header = ",".join(label.value for label in CategoryLabel)
-    row = ",".join(str(percentages[label]) for label in CategoryLabel)
-    return f"{header}\n{row}\n"
+    return _csv([[label.value for label in CategoryLabel], [percentages[label] for label in CategoryLabel]])
 
 
 def categories_to_text(percentages: dict[CategoryLabel, int]) -> str:

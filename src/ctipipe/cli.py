@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # Each command imports the stage modules it runs, so a process loads only
 # what its command uses: a path query never loads enrichment or statistics.
@@ -65,15 +65,21 @@ def _report_files(config: PipelineConfig) -> list[Path]:
     return sorted(config.reports_dir.glob("*.txt"))
 
 
-def _read_report(text_path: Path, config: PipelineConfig) -> tuple[dict[str, str], str]:
-    """The report's metadata and its text with defanging undone."""
-    meta = _read_meta(text_path.with_suffix(".meta"))
-    return meta, normalize_defanged(text_path.read_text(encoding="utf-8"), config.defang_extra)
+def _read_reports(text_paths: list[Path], config: PipelineConfig) -> Iterator[tuple[Path, dict[str, str], str]]:
+    """Each report's text file, metadata and text with defanging undone; a
+    report whose title an earlier one has is refused."""
+    titled: dict[str, Path] = {}  # title -> the .meta file that gave it
+    for text_path in text_paths:
+        meta_path = text_path.with_suffix(".meta")
+        meta = _read_meta(meta_path)
+        if meta["title"] in titled:
+            raise StoreError(f"{meta_path}: title {meta['title']!r} is already used by {titled[meta['title']]}")
+        titled[meta["title"]] = meta_path
+        yield text_path, meta, normalize_defanged(text_path.read_text(encoding="utf-8"), config.defang_extra)
 
 
 def _normalized_report_texts(config: PipelineConfig) -> dict[str, str]:
-    reports = (_read_report(text_path, config) for text_path in _report_files(config))
-    return {meta["title"]: normalized for meta, normalized in reports}
+    return {meta["title"]: normalized for _, meta, normalized in _read_reports(_report_files(config), config)}
 
 
 def _sidecar_path(config: PipelineConfig) -> Path:
@@ -99,17 +105,11 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
         )
     events = []
     indicator_count = 0
-    titled: dict[str, Path] = {}  # title -> the .meta file that gave it
-    for text_path in reports:
-        meta, normalized = _read_report(text_path, config)
-        meta_path = text_path.with_suffix(".meta")
-        if meta["title"] in titled:
-            raise StoreError(f"{meta_path}: title {meta['title']!r} is already used by {titled[meta['title']]}")
-        titled[meta["title"]] = meta_path
+    for text_path, meta, normalized in _read_reports(reports, config):
         try:
             publication_date = dt.date.fromisoformat(meta["date"])
         except ValueError as exc:
-            raise StoreError(f"{meta_path}: {exc}") from exc
+            raise StoreError(f"{text_path.with_suffix('.meta')}: {exc}") from exc
         indicators = extract_indicators(normalized, text_path.name, config.extensions)
         events.append(build_report_event(meta["title"], publication_date, indicators))
         indicator_count += len(indicators)

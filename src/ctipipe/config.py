@@ -81,6 +81,9 @@ class PipelineConfig:
 
     def make_provider(self) -> AnalysisProvider:
         if self.provider_fixture is not None:
+            # Checked on use, not at load: commands that read no analyses run without it.
+            if not self.provider_fixture.is_dir():
+                raise ConfigError(f"provider directory not found: {self.provider_fixture}")
             return FixtureProvider(self.provider_fixture)
         if self.provider_live is not None:
             live = self.provider_live
@@ -154,7 +157,12 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)

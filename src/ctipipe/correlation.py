@@ -349,20 +349,19 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
         link = links[side >> 1]
         return link.right if side & 1 else link.left
 
-    # Hop distances out from the goal, level by level, until the start; each
-    # side is expanded once, by the first node to reach it.
+    # Hop distances out from the goal, level by level, until the start; the
+    # first node on side s, at level nearest[s], expands the side s faces.
     distance = {goal: 0}
     levels = [[goal]]
-    expanded: set[int] = set()
+    nearest: dict[int, int] = {}
     while levels[-1] and start not in distance:
         hops = len(levels)
         level: list[int] = []
         for node in levels[-1]:
             for side in on.get(node, ()):
-                reached = facing(side)
-                if reached not in expanded:
-                    expanded.add(reached)
-                    for neighbor in members(reached):
+                if side not in nearest:
+                    nearest[side] = hops - 1
+                    for neighbor in members(facing(side)):
                         if neighbor not in distance:
                             distance[neighbor] = hops
                             level.append(neighbor)
@@ -371,12 +370,11 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
         return None
 
     # reach[v]: the best bottleneck weight from v to the goal over shortest
-    # paths. nearest[s] is the smallest distance among side s's events and
-    # best[s] their best reach, so a node one hop further reads it in O(1).
+    # paths, needed on the start's level for the start alone; best[s], the
+    # best reach of side s's events at level nearest[s], serves the next level.
     reach = {goal: float("inf")}
-    nearest: dict[int, int] = {}
     best: dict[int, float] = {}
-    for hops, level in enumerate(levels):
+    for hops, level in enumerate([*levels[:-1], [start]]):
         for node in level:
             if hops:
                 reach[node] = max(
@@ -385,11 +383,8 @@ def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | Non
                     if nearest.get(facing(side)) == hops - 1
                 )
             for side in on[node]:
-                if side not in nearest:
-                    nearest[side] = hops
-                    best[side] = reach[node]
-                elif nearest[side] == hops and reach[node] > best[side]:
-                    best[side] = reach[node]
+                if nearest.get(side) == hops:
+                    best[side] = max(best.get(side, 0.0), reach[node])
 
     # Step to the smallest id that still keeps the start's best bottleneck.
     target = reach[start]

@@ -214,7 +214,7 @@ def _fetch_with_retry(
 
 def _walk(seeds: set[str], depth_limit: int, fetch_level: Callable[[list[str]], dict]) -> EnrichmentResult:
     """The breadth-first walk; ``fetch_level`` maps one level's sorted hashes
-    to their records, None where the hash has no analysis."""
+    to their records, None where the hash has no analysis, in that order."""
     records: dict[str, AnalysisRecord] = {}
     missing: set[str] = set()
     discovered: set[str] = set()
@@ -225,8 +225,7 @@ def _walk(seeds: set[str], depth_limit: int, fetch_level: Callable[[list[str]], 
         visited.update(frontier)
         results = fetch_level(frontier)
         next_frontier: set[str] = set()
-        for hash_value in sorted(results):
-            record = results[hash_value]
+        for hash_value, record in results.items():
             if record is None:
                 missing.add(hash_value)
                 continue
@@ -274,8 +273,8 @@ def enrich_transitively(
 
         def fetch_level(frontier: list[str]) -> dict[str, AnalysisRecord | None]:
             futures = {h: pool.submit(_fetch_with_retry, h, provider, retries, backoff) for h in frontier}
-            # Sorted iteration keeps both the merge and error propagation deterministic.
-            return {h: futures[h].result() for h in sorted(futures)}
+            # Reading in frontier order keeps both the merge and error propagation deterministic.
+            return {h: future.result() for h, future in futures.items()}
 
         return _walk(seed_set, depth_limit, fetch_level)
 

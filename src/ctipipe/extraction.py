@@ -153,12 +153,14 @@ def is_valid_hash(value: str) -> bool:
 
 
 def is_valid_ip(value: str) -> bool:
-    """Four dot-separated decimal octets, each 0-255."""
+    """Four dot-separated decimal octets, each 0-255. ``isdecimal()`` takes
+    what the pattern's digit class takes; ``isdigit()`` also takes digits
+    such as superscript two, which ``int()`` refuses."""
     parts = value.split(".")
     if len(parts) != 4:
         return False
     for part in parts:
-        if not part.isdigit() or int(part) > 255:
+        if not part.isdecimal() or int(part) > 255:
             return False
     return True
 

@@ -81,7 +81,7 @@ def load_denylist(path: str | Path) -> list[DenyRule]:
         return parse_denylist(Path(path).read_text(encoding="utf-8").splitlines())
     except OSError as exc:
         raise DenylistError(f"cannot read denylist {path}: {exc.strerror or exc}") from exc
-    except DenylistError as exc:
+    except (DenylistError, UnicodeDecodeError) as exc:
         raise DenylistError(f"{path}: {exc}") from exc
 
 

@@ -40,25 +40,17 @@ def _read_store(path: Path) -> list[Event]:
     unterminated tail (torn final write) is skipped with a warning even if it
     happens to parse. A terminated line that fails to parse is corruption.
     """
-    blob = path.read_bytes()
+    *lines, tail = path.read_bytes().split(b"\n")
     events: list[Event] = []
-    line_number = 0
-    offset = 0
-    while True:
-        newline = blob.find(b"\n", offset)
-        if newline == -1:
-            break
-        line_bytes = blob[offset:newline]
-        line_number += 1
+    for line_number, line_bytes in enumerate(lines, start=1):
         try:
             line = line_bytes.decode("utf-8")
             if line.strip():
                 events.append(document_to_event(json.loads(line)))
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             raise CorruptStoreError(path, line_number, str(exc)) from exc
-        offset = newline + 1
-    if blob[offset:].strip():
-        log.warning("%s: ignoring %d uncommitted trailing bytes", path, len(blob) - offset)
+    if tail.strip():
+        log.warning("%s: ignoring %d uncommitted trailing bytes", path, len(tail))
     return events
 
 

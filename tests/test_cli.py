@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import logging
+import shutil
 import socket
 import sys
 from pathlib import Path
@@ -243,6 +244,27 @@ class TestEnrich:
         assert run_command(["-c", str(config), "enrich"]) == 1
         assert "provider" in capsys.readouterr().err
 
+    def test_missing_fixture_directory_refused_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir"
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=missing)
+        assert run(config, "ingest") == 0
+        before = sorted((path, path.read_bytes()) for path in tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(config, "enrich") == 1
+        assert str(missing) in capsys.readouterr().err
+        assert sorted((path, path.read_bytes()) for path in tmp_path.rglob("*")) == before
+
+    def test_read_only_commands_run_without_the_fixture_directory(self, tmp_path, capsys):
+        provider = tmp_path / "analyses"
+        shutil.copytree(GOLDEN_DIR / "provider", provider)
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=provider)
+        assert run(config, "ingest") == 0
+        assert run(config, "enrich") == 0
+        shutil.rmtree(provider)
+        assert run(config, "stats") == 0
+        assert run(config, "correlate") == 0
+        assert run(config, "export", "--out", str(tmp_path / "export")) == 0
+
     def test_depth_flag_overrides_config(self, golden_config, tmp_path):
         run(golden_config, "ingest")
         assert run(golden_config, "enrich", "--depth", "1") == 0
@@ -412,6 +434,16 @@ class TestFilter:
         assert str(missing) in capsys.readouterr().err
         assert (tmp_path / "events.jsonl").read_bytes() == before
 
+    def test_denylist_not_utf8_is_a_config_error(self, golden_config, tmp_path, capsys):
+        run(golden_config, "ingest")
+        before = (tmp_path / "events.jsonl").read_bytes()
+        denylist = tmp_path / "latin1.txt"
+        denylist.write_bytes(b"r\xe9sum\xe9.doc\n")
+        config = write_config(tmp_path, GOLDEN_DIR / "reports", denylist=denylist)
+        assert run(config, "filter") == 1
+        assert str(denylist) in capsys.readouterr().err
+        assert (tmp_path / "events.jsonl").read_bytes() == before
+
 
 class TestStats:
     def test_summary_numbers(self, golden_config, tmp_path, capsys):
@@ -444,6 +476,21 @@ class TestStats:
         run(golden_config, "stats")
         assert (tmp_path / "events.jsonl").read_bytes() == before
 
+
+    def test_duplicate_titles_rejected_before_writing(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        shutil.copytree(GOLDEN_DIR / "reports", reports)
+        config = write_config(tmp_path, reports, provider=GOLDEN_DIR / "provider")
+        assert run(config, "ingest") == 0
+        assert run(config, "enrich") == 0
+        (reports / "zz_copy.txt").write_text("nothing the analyses found\n")
+        (reports / "zz_copy.meta").write_text(f"title: {CLEAVER_TITLE}\ndate: 2014-12-03\n")
+        capsys.readouterr()
+        assert run(config, "stats", "--csv-dir", str(tmp_path / "csv")) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert repr(CLEAVER_TITLE) in err and "Cylance_Operation_Cleaver_Report.meta" in err and "zz_copy.meta" in err
+        assert not (tmp_path / "csv").exists()
 
     @pytest.mark.parametrize("document", [
         pytest.param([], id="not an object"),

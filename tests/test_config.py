@@ -78,10 +78,36 @@ class TestKeyValueFormat:
         monkeypatch.setenv("ANALYSIS_KEY", "sekrit")
         assert isinstance(config.make_provider(), HttpProvider)
 
+    def test_missing_fixture_directory_refused_on_use(self, tmp_path):
+        # Loading still succeeds, so commands that need no provider run.
+        config = load_config(write(tmp_path, BASE + "provider = no_such_dir\n"))
+        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "no_such_dir"))):
+            config.make_provider()
+
     def test_no_provider_configured(self, tmp_path):
         config = load_config(write(tmp_path, BASE))
         with pytest.raises(ConfigError, match="provider"):
             config.make_provider()
+
+    def test_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "pipeline.conf"
+        path.write_bytes(BASE.encode() + b"provider = r\xe9sum\xe9\n")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
+        assert run_command(["-c", str(path), "stats"]) == 1
+
+    def test_unreadable_file_names_the_file(self, tmp_path, monkeypatch):
+        path = write(tmp_path, BASE)
+        read_text = Path.read_text
+
+        def denied(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
 
     def test_extensions_comma_list(self, tmp_path):
         config = load_config(write(tmp_path, BASE + "extensions = exe, DLL, .ps1\n"))

@@ -108,11 +108,13 @@ class TestFetchAnalysis:
             fetch_analysis("nothex", golden_provider)
 
     def test_bad_ip_field_named(self):
-        doc = record_doc(A)
-        doc["contacted_ips"] = ["999.1.1.1"]
-        provider = MappingProvider({A: doc})
-        with pytest.raises(AnalysisDataError, match="contacted_ips"):
-            fetch_analysis(A, provider)
+        # "\u00b2" (superscript two) passes str.isdigit() but not int().
+        for ip in ("999.1.1.1", "\u00b2.1.1.1"):
+            doc = record_doc(A)
+            doc["contacted_ips"] = [ip]
+            provider = MappingProvider({A: doc})
+            with pytest.raises(AnalysisDataError, match="contacted_ips"):
+                fetch_analysis(A, provider)
 
     def test_bad_dropped_hash_named(self):
         doc = record_doc(A, dropped=["xyz"])

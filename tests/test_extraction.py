@@ -174,6 +174,13 @@ class TestExtractIndicators:
     def test_octet_out_of_range(self):
         assert extract_indicators("version 999.1.1.1 of the tool", "r") == []
 
+    def test_ip_check_takes_the_patterns_digits(self):
+        # "\u00b2" (superscript two) is a digit to str.isdigit() but not to int().
+        assert not is_valid_ip("\u00b2.1.1.1")
+        # isdecimal() accepts exactly the characters that \\d matches.
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+
     def test_md5_line(self):
         got = extract_indicators(f"md5 {CLEAVER_MD5}", "r")
         assert [(i.kind, i.value) for i in got] == [(IndicatorKind.MD5, CLEAVER_MD5)]

@@ -270,6 +270,11 @@ class TestDenylist:
         with pytest.raises(DenylistError) as err:
             load_denylist(missing)
         assert str(err.value) == f"cannot read denylist {missing}: No such file or directory"
+        not_utf8 = tmp_path / "latin1.txt"
+        not_utf8.write_bytes(b"r\xe9sum\xe9.doc\n")
+        with pytest.raises(DenylistError) as err:
+            load_denylist(not_utf8)
+        assert str(err.value).startswith(f"{not_utf8}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_default_denylist_covers_os_artifacts(self):
         values = {rule.pattern for rule in DEFAULT_DENYLIST}

@@ -4,8 +4,11 @@ import logging
 import os
 import random
 import stat
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ctipipe.store as store_module
 from ctipipe.enrichment import build_malware_event, fetch_analysis
@@ -14,10 +17,11 @@ from ctipipe.events import (
     Event,
     REPORT,
     build_report_event,
+    document_to_event,
     event_to_document,
 )
 from ctipipe.extraction import Indicator, IndicatorKind
-from ctipipe.store import CorruptStoreError, EventStore, atomic_write, load_all
+from ctipipe.store import CorruptStoreError, EventStore, _read_store, atomic_write, load_all
 
 from conftest import CLEAVER_DATE, CLEAVER_MD5, CLEAVER_TITLE, DATA_DIR, random_event
 
@@ -161,6 +165,67 @@ class TestCrashRecovery:
         [appended] = reopened.extend([simple_event("next.pdf")])
         assert [e.info for e in load_all(path)] == ["a_report.pdf", "next.pdf"]
         assert appended.id == 2
+
+
+def offset_read_store(path):
+    """The store reader before it split the file at newlines: a find/offset
+    loop with a hand-kept line counter. The oracle for ``_read_store``."""
+    blob = path.read_bytes()
+    events = []
+    line_number = 0
+    offset = 0
+    while True:
+        newline = blob.find(b"\n", offset)
+        if newline == -1:
+            break
+        line_bytes = blob[offset:newline]
+        line_number += 1
+        try:
+            line = line_bytes.decode("utf-8")
+            if line.strip():
+                events.append(document_to_event(json.loads(line)))
+        except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
+            raise CorruptStoreError(path, line_number, str(exc)) from exc
+        offset = newline + 1
+    if blob[offset:].strip():
+        store_module.log.warning("%s: ignoring %d uncommitted trailing bytes", path, len(blob) - offset)
+    return events
+
+
+_LINES = [json.dumps(event_to_document(replace(simple_event(f"r{i}.pdf"), id=i))).encode() for i in (1, 2, 3)]
+_PIECES = st.sampled_from([*_LINES, b"", b" ", b"\t \r", b"{not json}", b"\xff\xfe", b'{"id": 4, "da', b"[]"])
+
+
+class TestReadStoreMatchesOffsetLoop:
+    @staticmethod
+    def outcome(read, path):
+        """The events or the CorruptStoreError's line and message, and every
+        warning the read logged."""
+        warnings = []
+        handler = logging.Handler()
+        handler.emit = lambda record: warnings.append(record.getMessage())
+        store_module.log.addHandler(handler)
+        try:
+            return read(path), warnings
+        except CorruptStoreError as exc:
+            return (exc.line_number, str(exc)), warnings
+        finally:
+            store_module.log.removeHandler(handler)
+
+    @given(
+        lines=st.lists(st.tuples(_PIECES | st.binary(max_size=6), st.sampled_from([b"\n", b"\r\n"])), max_size=8),
+        tail=_PIECES | st.binary(max_size=6),
+    )
+    @example(lines=[(b"", b"\n"), (b" \t", b"\n"), (_LINES[0], b"\n")], tail=b"")  # blank and whitespace lines
+    @example(lines=[(_LINES[0], b"\r\n"), (_LINES[1], b"\r\n")], tail=b"")  # \r\n endings
+    @example(lines=[(_LINES[0], b"\n")], tail=_LINES[1])  # a torn tail that parses
+    @example(lines=[(_LINES[0], b"\n")], tail=b" \t\r ")  # a tail of only whitespace
+    @example(lines=[(_LINES[0], b"\n"), (b"\xe9", b"\n")], tail=b"")  # invalid UTF-8
+    @example(lines=[(b"", b"\n"), (b" ", b"\r\n"), (b"{not json}", b"\n")], tail=b"")  # corrupt after blanks
+    def test_same_events_errors_and_warnings(self, tmp_path_factory, lines, tail):
+        path = tmp_path_factory.mktemp("store") / "events.jsonl"
+        path.write_bytes(b"".join(line + ending for line, ending in lines) + tail)
+        assert self.outcome(_read_store, path) == self.outcome(offset_read_store, path)
 
 
 class TestRewrite:
