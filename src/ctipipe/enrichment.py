@@ -16,32 +16,28 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .events import (
-    Attribute,
-    CATEGORY_ARTIFACTS,
-    CATEGORY_EXTERNAL,
-    CATEGORY_NETWORK,
-    CATEGORY_OTHER,
-    CATEGORY_PAYLOAD,
-    MALWARE,
-    Event,
-)
+from .events import CATEGORY, HASH_TYPES, MALWARE, Attribute, Event
 from .extraction import classify_hash, is_valid_hash, is_valid_ip
 from .providers import AnalysisDataError, AnalysisProvider, ProviderError
 
 log = logging.getLogger(__name__)
 
-_LIST_FIELDS = (
-    "filenames",
-    "contacted_ips",
-    "contacted_urls",
-    "pdb_paths",
-    "code_sign_serials",
-    "mutexes",
-    "file_mappings",
-    "strings",
-    "dropped_hashes",
+# The record fields a malware event's attributes come from, in their order,
+# with the type each one's values take; a hash field holds one value or None.
+_ATTRIBUTE_FIELDS = (
+    ("filenames", "filename"),
+    ("contacted_ips", "ip-src"),
+    ("contacted_urls", "url"),
+    ("md5", "md5"),
+    ("sha1", "sha1"),
+    ("sha256", "sha256"),
+    ("pdb_paths", "pdb"),
+    ("code_sign_serials", "code-sign"),
+    ("mutexes", "other"),
+    ("file_mappings", "other"),
+    ("strings", "other"),
 )
+_LIST_FIELDS = (*(name for name, _ in _ATTRIBUTE_FIELDS if name not in HASH_TYPES), "dropped_hashes")
 
 
 @dataclass
@@ -61,9 +57,6 @@ class AnalysisRecord:
     file_mappings: list[str] = field(default_factory=list)
     strings: list[str] = field(default_factory=list)
     dropped_hashes: list[str] = field(default_factory=list)
-
-    def own_hashes(self) -> list[str]:
-        return [h for h in (self.md5, self.sha1, self.sha256) if h]
 
     @classmethod
     def from_document(cls, document: dict) -> "AnalysisRecord":
@@ -290,22 +283,16 @@ def record_to_attributes(record: AnalysisRecord, origin_report: str) -> list[Att
     """Attribute items for a malware event, ending with the back-link comment
     that names the originating report."""
     attributes: list[Attribute] = []
-    for position, name in enumerate(record.filenames):
-        comment = "original_filename" if position == 0 else ""
-        attributes.append(Attribute(CATEGORY_EXTERNAL, comment, name, "filename"))
-    for ip in record.contacted_ips:
-        attributes.append(Attribute(CATEGORY_NETWORK, "", ip, "ip-src"))
-    for url in record.contacted_urls:
-        attributes.append(Attribute(CATEGORY_NETWORK, "", url, "url"))
-    for hash_value in record.own_hashes():
-        attributes.append(Attribute(CATEGORY_PAYLOAD, "", hash_value, classify_hash(hash_value).value))
-    for path in record.pdb_paths:
-        attributes.append(Attribute(CATEGORY_ARTIFACTS, "", path, "pdb"))
-    for serial in record.code_sign_serials:
-        attributes.append(Attribute(CATEGORY_ARTIFACTS, "", serial, "code-sign"))
-    for value in [*record.mutexes, *record.file_mappings, *record.strings]:
-        attributes.append(Attribute(CATEGORY_ARTIFACTS, "", value, "other"))
-    attributes.append(Attribute(CATEGORY_OTHER, "", origin_report, "comment"))
+    for name, type_token in _ATTRIBUTE_FIELDS:
+        values = getattr(record, name)
+        if name in HASH_TYPES:
+            values = [values] if values else []
+        category = CATEGORY[type_token]
+        for value in values:
+            attributes.append(Attribute(category, "", value, type_token))
+    if record.filenames:  # the first attribute, as filenames come first
+        attributes[0].comment = "original_filename"
+    attributes.append(Attribute(CATEGORY["comment"], "", origin_report, "comment"))
     return attributes
 
 

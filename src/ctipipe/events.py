@@ -8,27 +8,24 @@ import datetime as dt
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .extraction import Indicator, IndicatorKind
+if TYPE_CHECKING:
+    from .extraction import Indicator
 
 REPORT = "report"
 MALWARE = "malware"
 
-CATEGORY_EXTERNAL = "External analysis"
-CATEGORY_NETWORK = "Network activity"
-CATEGORY_PAYLOAD = "Payload installation"
-CATEGORY_ARTIFACTS = "Artifacts dropped"
-CATEGORY_OTHER = "Other"
-
+# The category of every attribute type token the store can contain.
+CATEGORY = {
+    **dict.fromkeys(("md5", "sha1", "sha256"), "Payload installation"),
+    **dict.fromkeys(("ip-src", "url", "hostname", "email"), "Network activity"),
+    **dict.fromkeys(("vulnerability", "registry", "filename"), "External analysis"),
+    **dict.fromkeys(("pdb", "code-sign", "other"), "Artifacts dropped"),
+    "comment": "Other",
+}
+ATTRIBUTE_TYPES = frozenset(CATEGORY)
 HASH_TYPES = frozenset({"md5", "sha1", "sha256"})
-
-# Every attribute type token the store can contain.
-ATTRIBUTE_TYPES = frozenset({
-    "md5", "sha1", "sha256", "ip-src", "url", "hostname", "email",
-    "vulnerability", "registry", "filename", "pdb", "code-sign", "other",
-    "comment",
-})
 
 
 @dataclass
@@ -60,13 +57,13 @@ class EventSet:
 
 def is_back_link(attribute: Attribute) -> bool:
     """The comment attribute naming a malware event's originating report."""
-    return attribute.type == "comment" and attribute.category == CATEGORY_OTHER
+    return attribute.type == "comment" and attribute.category == CATEGORY["comment"]
 
 
 def event_kind(attributes: list[Attribute], event_id: int) -> str:
     """The kind the back-links imply: exactly one makes a malware event, none
     a report event; more than one is malformed."""
-    count = sum(1 for a in attributes if is_back_link(a))
+    count = sum(map(is_back_link, attributes))
     if count > 1:
         raise ValueError(f"event {event_id} has {count} back-links")
     return MALWARE if count else REPORT
@@ -102,30 +99,11 @@ def report_hashes(event: Event) -> set[str]:
     return {a.value.lower() for a in event.attributes if a.type in HASH_TYPES}
 
 
-# How each parsed indicator kind maps onto (category, attribute type).
-_INDICATOR_ATTRIBUTE = {
-    IndicatorKind.URL: (CATEGORY_NETWORK, "url"),
-    IndicatorKind.HOSTNAME: (CATEGORY_NETWORK, "hostname"),
-    IndicatorKind.IP: (CATEGORY_NETWORK, "ip-src"),
-    IndicatorKind.EMAIL: (CATEGORY_NETWORK, "email"),
-    IndicatorKind.MD5: (CATEGORY_PAYLOAD, "md5"),
-    IndicatorKind.SHA1: (CATEGORY_PAYLOAD, "sha1"),
-    IndicatorKind.SHA256: (CATEGORY_PAYLOAD, "sha256"),
-    IndicatorKind.FILENAME: (CATEGORY_EXTERNAL, "filename"),
-    IndicatorKind.CVE: (CATEGORY_EXTERNAL, "vulnerability"),
-    IndicatorKind.REGISTRY: (CATEGORY_EXTERNAL, "registry"),
-    IndicatorKind.PDB: (CATEGORY_ARTIFACTS, "pdb"),
-}
-
-
 def build_report_event(title: str, publication_date: dt.date, indicators: list[Indicator]) -> Event:
     """Turn a parsed report into a report event; ids are assigned on commit."""
     if not title:
         raise ValueError("report title must not be empty")
-    attributes = []
-    for indicator in indicators:
-        category, type_token = _INDICATOR_ATTRIBUTE[indicator.kind]
-        attributes.append(Attribute(category, "", indicator.value, type_token))
+    attributes = [Attribute(CATEGORY[i.kind.value], "", i.value, i.kind.value) for i in indicators]
     return Event(0, publication_date, title, REPORT, attributes)
 
 
@@ -166,24 +144,44 @@ def event_to_json(event: Event) -> str:
     )
 
 
+_EVENT_JSON_TYPES = {"id": int, "info": str, "Attribute": list}
+_ATTRIBUTE_JSON_TYPES = {"category": str, "comment": str, "value": str, "type": str, "id": int}
+
+
+def _wrong_type(document: dict, fields: dict[str, type]) -> str:
+    """Name the first of ``fields`` whose value in ``document`` is not of
+    its type; type(), not isinstance(), since a JSON true is no id."""
+    key = next(key for key, kind in fields.items() if type(document[key]) is not kind)
+    return f"{key!r} is {type(document[key]).__name__}, not {fields[key].__name__}"
+
+
 def document_to_event(document: dict) -> Event:
     """Inverse of :func:`event_to_document`; the event kind is re-derived
-    from the back-links (see :func:`event_kind`)."""
+    from the back-links (see :func:`event_kind`). A missing or wrongly typed
+    field raises ValueError."""
     try:
-        event_id = int(document["id"])
+        event_id = document["id"]
         date = dt.date.fromisoformat(document["date"])
         info = document["info"]
         items = document["Attribute"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed event document: {exc}") from exc
+    if not (type(event_id) is int and type(info) is str and type(items) is list):
+        raise ValueError(f"malformed event document: {_wrong_type(document, _EVENT_JSON_TYPES)}")
     attributes = []
     for item in items:
         try:
-            attributes.append(
-                Attribute(item["category"], item["comment"], item["value"], item["type"], int(item["id"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            category = item["category"]
+            comment = item["comment"]
+            value = item["value"]
+            type_token = item["type"]
+            attribute_id = item["id"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed attribute item: {exc}") from exc
+        if not (type(category) is type(comment) is type(value) is type(type_token) is str
+                and type(attribute_id) is int):
+            raise ValueError(f"malformed attribute item: {_wrong_type(item, _ATTRIBUTE_JSON_TYPES)}")
+        attributes.append(Attribute(category, comment, value, type_token, attribute_id))
     return Event(event_id, date, info, event_kind(attributes, event_id), attributes)
 
 

@@ -15,19 +15,21 @@ from typing import Iterable, Iterator, Sequence
 
 
 class IndicatorKind(str, Enum):
-    """Indicator types the parser recognizes; values are the stored tokens."""
+    """Indicator types the parser recognizes; values are the stored tokens.
+    Declared in overlap priority: when spans collide, the more specific,
+    earlier kind wins."""
 
-    MD5 = "md5"
-    SHA1 = "sha1"
-    SHA256 = "sha256"
-    IP = "ip"
     URL = "url"
-    HOSTNAME = "hostname"
     EMAIL = "email"
-    CVE = "cve"
     REGISTRY = "registry"
-    FILENAME = "filename"
     PDB = "pdb"
+    SHA256 = "sha256"
+    SHA1 = "sha1"
+    MD5 = "md5"
+    CVE = "vulnerability"
+    IP = "ip-src"
+    FILENAME = "filename"
+    HOSTNAME = "hostname"
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ _HOSTNAME_RE = re.compile(
 )
 # The lookarounds reject candidates embedded in a longer dotted sequence
 # (e.g. the tail of "999.1.1.1" or the head of "1.2.3.4.5").
-_IP_RE = re.compile(r"(?<!\d)(?<!\d\.)\d{1,3}(?:\.\d{1,3}){3}(?!\d)(?!\.\d)")
-_CVE_RE = re.compile(r"\bCVE-\d{4}-\d{4,}\b")
+_IP_RE = re.compile(r"(?<![0-9])(?<![0-9]\.)[0-9]{1,3}(?:\.[0-9]{1,3}){3}(?![0-9])(?!\.[0-9])")
+_CVE_RE = re.compile(r"\bCVE-[0-9]{4}-[0-9]{4,}\b")
 _REGISTRY_RE = re.compile(r"\b(?:HKLM|HKCU|HKCR|HKU|HKEY_[A-Za-z_]+)\\[^\s\"'<>|]+")
 _PDB_RE = re.compile(r"[^\s\"'<>|]+\.pdb\b", re.IGNORECASE)
 
@@ -92,20 +94,8 @@ _TRAILING_PUNCT = ".,;:!?)]}\"'"
 _TRIGGER_RE = re.compile(r"[.@\\:\-](?=\S)|[0-9A-Fa-f]{32}")
 _RUN_END_RE = re.compile(r"\S*")
 
-# When spans collide the more specific kind wins; lower index = higher priority.
-_PRIORITY = {
-    IndicatorKind.URL: 0,
-    IndicatorKind.EMAIL: 1,
-    IndicatorKind.REGISTRY: 2,
-    IndicatorKind.PDB: 3,
-    IndicatorKind.SHA256: 4,
-    IndicatorKind.SHA1: 5,
-    IndicatorKind.MD5: 6,
-    IndicatorKind.CVE: 7,
-    IndicatorKind.IP: 8,
-    IndicatorKind.FILENAME: 9,
-    IndicatorKind.HOSTNAME: 10,
-}
+# Lower rank = higher priority when spans collide.
+_PRIORITY = {kind: rank for rank, kind in enumerate(IndicatorKind)}
 
 _MAX_DEFANG_PASSES = 100
 
@@ -145,19 +135,16 @@ def classify_hash(value: str) -> IndicatorKind:
 
 
 def is_valid_hash(value: str) -> bool:
-    try:
-        classify_hash(value)
-    except ValueError:
-        return False
-    return True
+    return len(value) in _HASH_LENGTHS and _HEX_RE.fullmatch(value) is not None
 
 
 def is_valid_ip(value: str) -> bool:
-    """Four dot-separated decimal octets, each 0-255. ``isdecimal()`` takes
-    what the pattern's digit class takes; ``isdigit()`` also takes digits
-    such as superscript two, which ``int()`` refuses."""
+    """Four dot-separated octets of ASCII digits, each 0-255: what the
+    pattern's ``[0-9]`` takes. ``isdecimal()`` alone also takes other
+    scripts' digits, and ``isdigit()`` superscript two, which ``int()``
+    refuses."""
     parts = value.split(".")
-    if len(parts) != 4:
+    if len(parts) != 4 or not value.isascii():
         return False
     for part in parts:
         if not part.isdecimal() or int(part) > 255:

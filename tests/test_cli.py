@@ -677,6 +677,23 @@ class TestRefusalsKeepTheStore:
         assert path.read_bytes() == before
         assert len(caplog.records) == 1
 
+    @pytest.mark.parametrize("command", ["ingest", "enrich", "filter", "stats", "correlate", "export"])
+    def test_wrongly_typed_store_field_is_corruption(self, golden_config, tmp_path, capsys, command):
+        run(golden_config, "ingest")
+        path = tmp_path / "events.jsonl"
+        first, *rest = path.read_bytes().splitlines(keepends=True)
+        document = json.loads(first)
+        document["id"] = True
+        document["Attribute"][0]["value"] = 5
+        path.write_bytes(json.dumps(document).encode() + b"\n" + b"".join(rest))
+        before = path.read_bytes()
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "export")] if command == "export" else []
+        assert run(golden_config, command, *out) == 2
+        assert f"{path}:1: malformed" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not (tmp_path / "export").exists()
+
 
 class TestExport:
     def test_documents_round_trip(self, golden_config, tmp_path):

@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctipipe.enrichment import (
     AnalysisRecord,
@@ -19,6 +21,8 @@ from ctipipe.enrichment import (
     record_to_attributes,
     replay_closure,
 )
+from ctipipe.events import CATEGORY, Attribute
+from ctipipe.extraction import classify_hash
 from ctipipe.providers import (
     AnalysisDataError,
     FixtureProvider,
@@ -108,8 +112,9 @@ class TestFetchAnalysis:
             fetch_analysis("nothex", golden_provider)
 
     def test_bad_ip_field_named(self):
-        # "\u00b2" (superscript two) passes str.isdigit() but not int().
-        for ip in ("999.1.1.1", "\u00b2.1.1.1"):
+        # "\u00b2" (superscript two) passes str.isdigit() but not int();
+        # "\u0661" (Arabic-Indic one) passes both, but is no ASCII digit.
+        for ip in ("999.1.1.1", "\u00b2.1.1.1", "\u0661.1.1.1"):
             doc = record_doc(A)
             doc["contacted_ips"] = [ip]
             provider = MappingProvider({A: doc})
@@ -277,6 +282,44 @@ class TestEnrichTransitively:
         assert again == result
 
 
+def old_record_to_attributes(record, origin_report):
+    """record_to_attributes before one table listed the record's fields: a
+    hand-written loop per field, each own hash typed by classify_hash. The
+    oracle for the table loop."""
+    attributes = []
+    for position, name in enumerate(record.filenames):
+        comment = "original_filename" if position == 0 else ""
+        attributes.append(Attribute("External analysis", comment, name, "filename"))
+    for ip in record.contacted_ips:
+        attributes.append(Attribute("Network activity", "", ip, "ip-src"))
+    for url in record.contacted_urls:
+        attributes.append(Attribute("Network activity", "", url, "url"))
+    for hash_value in [h for h in (record.md5, record.sha1, record.sha256) if h]:
+        attributes.append(Attribute("Payload installation", "", hash_value, classify_hash(hash_value).value))
+    for path in record.pdb_paths:
+        attributes.append(Attribute("Artifacts dropped", "", path, "pdb"))
+    for serial in record.code_sign_serials:
+        attributes.append(Attribute("Artifacts dropped", "", serial, "code-sign"))
+    for value in [*record.mutexes, *record.file_mappings, *record.strings]:
+        attributes.append(Attribute("Artifacts dropped", "", value, "other"))
+    attributes.append(Attribute("Other", "", origin_report, "comment"))
+    return attributes
+
+
+def _digest(length):
+    """No hash, or a lowercase digest of ``length`` hex digits: what
+    AnalysisRecord.from_document leaves in a hash field."""
+    return st.none() | st.text("0123456789abcdef", min_size=length, max_size=length)
+
+
+_values = st.lists(st.text(max_size=4), max_size=3)
+_records = st.builds(
+    AnalysisRecord, md5=_digest(32), sha1=_digest(40), sha256=_digest(64), filenames=_values,
+    contacted_ips=_values, contacted_urls=_values, pdb_paths=_values, code_sign_serials=_values,
+    mutexes=_values, file_mappings=_values, strings=_values,
+)
+
+
 class TestRecordToAttributes:
     def test_cleaver_attributes(self, cleaver_record):
         attributes = record_to_attributes(cleaver_record, CLEAVER_TITLE)
@@ -316,6 +359,12 @@ class TestRecordToAttributes:
             ("Session\\F", "other"),
             ("marker", "other"),
         ]
+
+    @given(_records, st.text(max_size=8))
+    def test_matches_hand_written_loops(self, record, origin):
+        attributes = record_to_attributes(record, origin)
+        assert attributes == old_record_to_attributes(record, origin)
+        assert all(a.category == CATEGORY[a.type] for a in attributes)
 
 
 @pytest.fixture

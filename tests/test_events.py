@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ctipipe.enrichment import AnalysisRecord, build_malware_event
+from ctipipe.enrichment import AnalysisRecord, build_malware_event, record_to_attributes
 from ctipipe.events import (
+    ATTRIBUTE_TYPES,
+    CATEGORY,
     Attribute,
     Event,
     EventSet,
@@ -89,6 +91,30 @@ class TestBuildReportEvent:
         ]
         event = build_report_event("t.pdf", CLEAVER_DATE, indicators)
         assert [a.value for a in event.attributes] == ["1.1.1.1", "a.exe", "2.2.2.2"]
+
+
+class TestCategory:
+    """events.CATEGORY is the one map from type token to category."""
+
+    def test_every_indicator_kind_is_a_type(self):
+        assert set(CATEGORY) == ATTRIBUTE_TYPES
+        assert {kind.value for kind in IndicatorKind} <= ATTRIBUTE_TYPES
+        event = build_report_event("t.pdf", CLEAVER_DATE, [indicator(kind, "v") for kind in IndicatorKind])
+        assert [a.type for a in event.attributes] == [kind.value for kind in IndicatorKind]
+        assert all(a.category == CATEGORY[a.type] for a in event.attributes)
+
+    def test_every_record_field_emits_a_type(self):
+        record = AnalysisRecord(
+            md5="a" * 32, sha1="b" * 40, sha256="c" * 64, filenames=["f.exe"], contacted_ips=["1.2.3.4"],
+            contacted_urls=["http://u.example"], pdb_paths=["p.pdb"], code_sign_serials=["00"],
+            mutexes=["m"], file_mappings=["fm"], strings=["s"],
+        )
+        attributes = record_to_attributes(record, "r.pdf")
+        assert [a.type for a in attributes] == [
+            "filename", "ip-src", "url", "md5", "sha1", "sha256", "pdb", "code-sign", "other", "other", "other",
+            "comment",
+        ]
+        assert all(a.category == CATEGORY[a.type] for a in attributes)
 
 
 class TestBuildMalwareEvent:
@@ -186,6 +212,26 @@ class TestDocuments:
     def test_malformed_attribute(self):
         document = {"id": 1, "date": "2014-12-03", "info": "t.pdf", "Attribute": [{"value": "x"}]}
         with pytest.raises(ValueError, match="malformed attribute"):
+            document_to_event(document)
+
+    # A field set to a value of another JSON type; type(), not isinstance():
+    # a JSON true is no id, and neither is 1.0 or "1".
+    @pytest.mark.parametrize("keys,value", [
+        (("id",), True), (("id",), "1"), (("id",), 1.0), (("info",), 5), (("info",), None),
+        (("Attribute",), {}), (("Attribute",), "x"), (("Attribute", 0), "x"),
+        (("Attribute", 0, "id"), True), (("Attribute", 0, "id"), "1"), (("Attribute", 0, "value"), 5),
+        (("Attribute", 0, "category"), None), (("Attribute", 0, "comment"), 1),
+        (("Attribute", 0, "type"), ["md5"]),
+    ])
+    def test_wrongly_typed_field_malformed(self, keys, value):
+        document = event_to_document(Event(1, CLEAVER_DATE, "t.pdf", REPORT, [
+            Attribute("Payload installation", "", "a" * 32, "md5", 1),
+        ]))
+        target = document
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(ValueError, match="malformed"):
             document_to_event(document)
 
 

@@ -17,6 +17,7 @@ from ctipipe.extraction import (
     _gather_candidates,
     classify_hash,
     extract_indicators,
+    is_valid_hash,
     is_valid_ip,
     normalize_defanged,
 )
@@ -122,7 +123,52 @@ class TestNormalizeDefanged:
         assert normalize_defanged("http[:]//a[.]b", extra) == "http://a.b"
 
 
+# The overlap priorities as a hand-written table gave them before
+# IndicatorKind's declaration order did: the oracle for _PRIORITY.
+OLD_PRIORITY = {
+    IndicatorKind.URL: 0,
+    IndicatorKind.EMAIL: 1,
+    IndicatorKind.REGISTRY: 2,
+    IndicatorKind.PDB: 3,
+    IndicatorKind.SHA256: 4,
+    IndicatorKind.SHA1: 5,
+    IndicatorKind.MD5: 6,
+    IndicatorKind.CVE: 7,
+    IndicatorKind.IP: 8,
+    IndicatorKind.FILENAME: 9,
+    IndicatorKind.HOSTNAME: 10,
+}
+
+
+def test_priority_follows_declaration_order():
+    assert _PRIORITY == OLD_PRIORITY
+
+
+def old_is_valid_hash(value):
+    """is_valid_hash before it tested the length and the pattern itself:
+    classify_hash's ValueError, caught."""
+    try:
+        classify_hash(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _strings_of(alphabet):
+    return st.integers(0, 70).flatmap(lambda n: st.text(alphabet, min_size=n, max_size=n))
+
+
 class TestClassifyHash:
+    @given(st.one_of(
+        _strings_of("0123456789abcdefABCDEF"),
+        _strings_of("0123456789abcdefABCDEFgxZ \n\u0660\u0661\u00b2\uff41"),
+        st.text(max_size=70),
+    ))
+    @example("\u0661" * 32)
+    @example("a" * 32 + "\n")
+    def test_is_valid_hash_matches_classify_hash(self, value):
+        assert is_valid_hash(value) is old_is_valid_hash(value)
+
     @pytest.mark.parametrize(
         "value,expected",
         [
@@ -177,9 +223,17 @@ class TestExtractIndicators:
     def test_ip_check_takes_the_patterns_digits(self):
         # "\u00b2" (superscript two) is a digit to str.isdigit() but not to int().
         assert not is_valid_ip("\u00b2.1.1.1")
-        # isdecimal() accepts exactly the characters that \\d matches.
+        # ASCII isdecimal() accepts exactly the characters that [0-9] matches.
         every = "".join(map(chr, range(0x110000)))
-        assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+        assert re.findall(r"[0-9]", every) == [c for c in every if c.isascii() and c.isdecimal()]
+
+    def test_ip_and_cve_take_ascii_digits_only(self):
+        # Arabic-Indic digits are decimal to str.isdecimal() and to \d.
+        got = extract_indicators("C2 at \u0661\u0662.\u0661.\u0661.\u0661 and 10.0.0.1 and "
+                                 "CVE-\u0662\u0660\u0661\u0664-\u0661\u0662\u0663\u0664 x", "r")
+        assert [(i.kind, i.value) for i in got] == [(IndicatorKind.IP, "10.0.0.1")]
+        assert not is_valid_ip("\u0661\u0662.\u0661.\u0661.\u0661")
+        assert not is_valid_ip("1.1.1.\u0661")
 
     def test_md5_line(self):
         got = extract_indicators(f"md5 {CLEAVER_MD5}", "r")

@@ -143,6 +143,13 @@ def test_imports_form_no_cycle():
     assert import_cycle(sources) is None
 
 
+def test_events_imports_no_other_module_at_run_time():
+    # Every other module builds on the event schema; its import of the
+    # indicator type is for annotations only.
+    loaded = loaded_modules("import ctipipe.events")
+    assert sorted(name for name in loaded if name.startswith("ctipipe")) == ["ctipipe", "ctipipe.events"]
+
+
 def test_import_cycle_check_sees_every_import():
     guarded = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .b import x\n"
     local = "def f():\n    from ctipipe.a import y\n"
