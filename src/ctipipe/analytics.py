@@ -3,9 +3,8 @@ counts per data type and year, and the collection run summary."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .enrichment import EnrichmentResult
 from .events import (
@@ -132,8 +131,7 @@ TYPE_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-@dataclass
-class TypeYearCounts:
+class TypeYearCounts(NamedTuple):
     """Attribute counts per (year, attribute type) plus event counts per year."""
 
     attribute_counts: dict[int, dict[str, int]]
@@ -195,8 +193,7 @@ def type_year_counts(events: list[Event]) -> TypeYearCounts:
     return TypeYearCounts(attribute_counts, report_events, malware_events)
 
 
-@dataclass
-class PipelineSummary:
+class PipelineSummary(NamedTuple):
     """Collection-run totals in the processing-results shape."""
 
     reports: int
@@ -263,8 +260,7 @@ def categories_to_text(percentages: dict[CategoryLabel, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class StatTables:
+class StatTables(NamedTuple):
     """The three statistics views over one dataset."""
 
     summary: PipelineSummary

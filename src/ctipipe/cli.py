@@ -14,12 +14,12 @@ import argparse
 import datetime as dt
 import json
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
 # Each command imports the stage modules it runs, so a process loads only
-# what its command uses: a path query never loads enrichment or statistics.
+# what its command uses: a path query never loads enrichment, statistics or
+# the extraction patterns.
 from .config import ConfigError, PipelineConfig, load_config
 from .events import (
     MALWARE,
@@ -29,7 +29,6 @@ from .events import (
     group_event_sets,
     report_hashes,
 )
-from .extraction import extract_indicators, normalize_defanged
 from .providers import AnalysisDataError, ProviderError
 from .store import EventStore, StoreError, atomic_write
 
@@ -68,6 +67,8 @@ def _report_files(config: PipelineConfig) -> list[Path]:
 def _read_reports(text_paths: list[Path], config: PipelineConfig) -> Iterator[tuple[Path, dict[str, str], str]]:
     """Each report's text file, metadata and text with defanging undone; a
     report whose title an earlier one has is refused."""
+    from .extraction import normalize_defanged
+
     titled: dict[str, Path] = {}  # title -> the .meta file that gave it
     for text_path in text_paths:
         meta_path = text_path.with_suffix(".meta")
@@ -95,6 +96,8 @@ def _open_store(config: PipelineConfig) -> EventStore:
 
 
 def _cmd_ingest(config: PipelineConfig, args) -> int:
+    from .extraction import extract_indicators
+
     reports = _report_files(config)
     if not reports:
         raise StoreError(f"no *.txt reports in {config.reports_dir}")
@@ -305,10 +308,10 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         # An option whose dest names a config field overrides that field,
         # and the result is validated like the file.
-        config = load_config(args.config)
-        config = replace(config, **{
-            f.name: getattr(args, f.name) for f in fields(config) if getattr(args, f.name, None) is not None
+        config = load_config(args.config)._replace(**{
+            name: value for name in PipelineConfig._fields if (value := getattr(args, name, None)) is not None
         })
+        config.validate()
         return args.func(config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .extraction import _filename_pattern
 from .providers import AnalysisProvider, FixtureProvider, HttpProvider
 
 
@@ -22,15 +21,16 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class LiveProviderConfig:
+class LiveProviderConfig(NamedTuple):
     base_url: str
     api_key_env: str
     rate_limit: float = 4.0
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
+    """The settings of one pipeline. :func:`load_config` returns them
+    validated; a copy made with ``_replace`` needs its own :meth:`validate`."""
+
     reports_dir: Path
     store_path: Path
     provider_fixture: Path | None = None
@@ -44,9 +44,6 @@ class PipelineConfig:
     retry_count: int = 3
     retry_backoff: float = 0.5
     max_workers: int = 4
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         if not 0.0 < self.fuzzy_threshold <= 1.0:
@@ -62,6 +59,8 @@ class PipelineConfig:
         if self.max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.extensions is not None:
+            from .extraction import _filename_pattern  # only here: importing it compiles the indicator patterns
+
             try:
                 _filename_pattern(self.extensions)
             except ValueError as exc:
@@ -115,7 +114,7 @@ def _parse_key_values(text: str) -> dict:
 
 
 # The numeric settings a file may set, with their types. A setting the file
-# leaves out keeps its dataclass default.
+# leaves out keeps its field default.
 _NUMBERS = {
     "depth_limit": int,
     "fuzzy_threshold": float,
@@ -220,4 +219,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         settings["denylist_path"] = resolve("denylist", denylist)
     if data:
         raise ConfigError(f"unknown setting {', '.join(data)}")
-    return PipelineConfig(**settings)
+    config = PipelineConfig(**settings)
+    config.validate()
+    return config

@@ -10,11 +10,10 @@ domain label, basename without extension, or the lowercased string).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .events import Event, value_holders
 
@@ -44,8 +43,7 @@ class Edge(NamedTuple):
     weight: float
 
 
-@dataclass
-class GraphOptions:
+class GraphOptions(NamedTuple):
     fuzzy: bool = False
     threshold: float = DEFAULT_FUZZY_THRESHOLD
     cross_set_only: bool = False
@@ -69,7 +67,6 @@ class Link(NamedTuple):
     weight: float
 
 
-@dataclass
 class CorrelationGraph:
     """Events as nodes, joined through the values they share or resemble:
     ``links``, one per shared value and one per similar value pair, and
@@ -77,9 +74,15 @@ class CorrelationGraph:
     reads them; :meth:`rows` streams the edges from them as ints, which
     :meth:`edges` and the writers decode through ``ranked_sides``."""
 
-    nodes: dict[int, tuple[str, str]]  # event id -> (kind, info)
-    events: list[Event] = field(default_factory=list, repr=False)
-    options: GraphOptions = field(default_factory=GraphOptions)
+    def __init__(
+        self,
+        nodes: dict[int, tuple[str, str]],  # event id -> (kind, info)
+        events: Sequence[Event] = (),
+        options: GraphOptions = GraphOptions(),
+    ):
+        self.nodes = nodes
+        self.events = events
+        self.options = options
 
     @cached_property
     def links(self) -> list[Link]:

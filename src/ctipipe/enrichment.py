@@ -13,8 +13,8 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import AbstractSet, Callable, Mapping, NamedTuple, Sequence
 
 from .events import CATEGORY, HASH_TYPES, MALWARE, Attribute, Event
 from .extraction import classify_hash, is_valid_hash, is_valid_ip
@@ -40,23 +40,22 @@ _ATTRIBUTE_FIELDS = (
 _LIST_FIELDS = (*(name for name, _ in _ATTRIBUTE_FIELDS if name not in HASH_TYPES), "dropped_hashes")
 
 
-@dataclass
-class AnalysisRecord:
+class AnalysisRecord(NamedTuple):
     """Normalized malware-analysis result for one sample."""
 
     md5: str | None = None
     sha1: str | None = None
     sha256: str | None = None
     compile_timestamp: dt.datetime | None = None
-    filenames: list[str] = field(default_factory=list)
-    contacted_ips: list[str] = field(default_factory=list)
-    contacted_urls: list[str] = field(default_factory=list)
-    pdb_paths: list[str] = field(default_factory=list)
-    code_sign_serials: list[str] = field(default_factory=list)
-    mutexes: list[str] = field(default_factory=list)
-    file_mappings: list[str] = field(default_factory=list)
-    strings: list[str] = field(default_factory=list)
-    dropped_hashes: list[str] = field(default_factory=list)
+    filenames: Sequence[str] = ()
+    contacted_ips: Sequence[str] = ()
+    contacted_urls: Sequence[str] = ()
+    pdb_paths: Sequence[str] = ()
+    code_sign_serials: Sequence[str] = ()
+    mutexes: Sequence[str] = ()
+    file_mappings: Sequence[str] = ()
+    strings: Sequence[str] = ()
+    dropped_hashes: Sequence[str] = ()
 
     @classmethod
     def from_document(cls, document: dict) -> "AnalysisRecord":
@@ -138,13 +137,12 @@ class AnalysisRecord:
         return document
 
 
-@dataclass
-class EnrichmentResult:
+class EnrichmentResult(NamedTuple):
     """Outcome of one transitive collection run."""
 
-    records: dict[str, AnalysisRecord] = field(default_factory=dict)
-    missing: set[str] = field(default_factory=set)
-    discovered: set[str] = field(default_factory=set)
+    records: Mapping[str, AnalysisRecord] = MappingProxyType({})
+    missing: AbstractSet[str] = frozenset()
+    discovered: AbstractSet[str] = frozenset()
     query_count: int = 0
 
     def all_hashes(self) -> set[str]:
@@ -289,9 +287,9 @@ def record_to_attributes(record: AnalysisRecord, origin_report: str) -> list[Att
             values = [values] if values else []
         category = CATEGORY[type_token]
         for value in values:
-            attributes.append(Attribute(category, "", value, type_token))
-    if record.filenames:  # the first attribute, as filenames come first
-        attributes[0].comment = "original_filename"
+            # The first filename names the sample; filenames come first.
+            comment = "original_filename" if name == "filenames" and not attributes else ""
+            attributes.append(Attribute(category, comment, value, type_token))
     attributes.append(Attribute(CATEGORY["comment"], "", origin_report, "comment"))
     return attributes
 

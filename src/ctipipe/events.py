@@ -5,10 +5,9 @@ to the report it came from."""
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .extraction import Indicator
@@ -28,8 +27,9 @@ ATTRIBUTE_TYPES = frozenset(CATEGORY)
 HASH_TYPES = frozenset({"md5", "sha1", "sha256"})
 
 
-@dataclass
-class Attribute:
+# Records are immutable named tuples; ``record._replace(field=value)`` is
+# a copy with one field changed.
+class Attribute(NamedTuple):
     category: str
     comment: str
     value: str
@@ -37,22 +37,20 @@ class Attribute:
     id: int = 0
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
     id: int
     date: dt.date
     info: str
     kind: str
-    attributes: list[Attribute] = field(default_factory=list)
+    attributes: list[Attribute]
 
 
-@dataclass
-class EventSet:
+class EventSet(NamedTuple):
     """One report event plus the malware events derived from it."""
 
     report_title: str
     report_event: Event
-    malware_events: list[Event] = field(default_factory=list)
+    malware_events: Sequence[Event] = ()
 
 
 def is_back_link(attribute: Attribute) -> bool:
@@ -146,6 +144,8 @@ def event_to_json(event: Event) -> str:
 
 _EVENT_JSON_TYPES = {"id": int, "info": str, "Attribute": list}
 _ATTRIBUTE_JSON_TYPES = {"category": str, "comment": str, "value": str, "type": str, "id": int}
+# An attribute item's fields in Attribute order, read in one call.
+_attribute_row = itemgetter(*_ATTRIBUTE_JSON_TYPES)
 
 
 def _wrong_type(document: dict, fields: dict[str, type]) -> str:
@@ -158,30 +158,35 @@ def _wrong_type(document: dict, fields: dict[str, type]) -> str:
 def document_to_event(document: dict) -> Event:
     """Inverse of :func:`event_to_document`; the event kind is re-derived
     from the back-links (see :func:`event_kind`). A missing or wrongly typed
-    field raises ValueError."""
+    field, or a date not written YYYY-MM-DD, raises ValueError."""
     try:
         event_id = document["id"]
-        date = dt.date.fromisoformat(document["date"])
+        text = document["date"]
+        date = dt.date.fromisoformat(text)
         info = document["info"]
         items = document["Attribute"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed event document: {exc}") from exc
+    # fromisoformat also takes the basic and week forms, such as 20141203 and
+    # 2014-W49-3, which a commit would rewrite. Of the forms it takes, only
+    # YYYY-MM-DD is ten characters long with a "-" at index 7.
+    if len(text) != 10 or text[7] != "-":
+        raise ValueError(f"malformed event document: date {text!r} is not YYYY-MM-DD")
     if not (type(event_id) is int and type(info) is str and type(items) is list):
         raise ValueError(f"malformed event document: {_wrong_type(document, _EVENT_JSON_TYPES)}")
     attributes = []
     for item in items:
         try:
-            category = item["category"]
-            comment = item["comment"]
-            value = item["value"]
-            type_token = item["type"]
-            attribute_id = item["id"]
+            row = _attribute_row(item)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed attribute item: {exc}") from exc
+        category, comment, value, type_token, attribute_id = row
         if not (type(category) is type(comment) is type(value) is type(type_token) is str
                 and type(attribute_id) is int):
             raise ValueError(f"malformed attribute item: {_wrong_type(item, _ATTRIBUTE_JSON_TYPES)}")
-        attributes.append(Attribute(category, comment, value, type_token, attribute_id))
+        # What Attribute._make(row) does, without its frame and length check:
+        # a call with arguments runs a Python-level __new__.
+        attributes.append(tuple.__new__(Attribute, row))
     return Event(event_id, date, info, event_kind(attributes, event_id), attributes)
 
 
@@ -199,7 +204,7 @@ def group_event_sets(events: list[Event]) -> list[EventSet]:
         elif event.info in sets:
             raise ValueError(f"duplicate report event for {event.info!r}")
         else:
-            sets[event.info] = EventSet(event.info, event)
+            sets[event.info] = EventSet(event.info, event, [])
     for event in malware:
         origin = next(a.value for a in event.attributes if is_back_link(a))
         if origin not in sets:

@@ -9,9 +9,8 @@ so the same text always yields the same indicator list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class IndicatorKind(str, Enum):
@@ -32,8 +31,7 @@ class IndicatorKind(str, Enum):
     HOSTNAME = "hostname"
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(NamedTuple):
     """One extracted observable with its position in the normalized text."""
 
     kind: IndicatorKind
@@ -90,8 +88,13 @@ _TRAILING_PUNCT = ".,;:!?)]}\"'"
 # match holds a trigger: one of ". @ \ : -" followed by a non-whitespace
 # character, or 32 hex digits. So the patterns scan only the whitespace-
 # delimited runs that hold a trigger, through finditer's pos and endpos,
-# which keep offsets and lookbehinds on the whole text.
-_TRIGGER_RE = re.compile(r"[.@\\:\-](?=\S)|[0-9A-Fa-f]{32}")
+# which keep offsets and lookbehinds on the whole text. The hex runs are
+# found in a mask of the text, one byte per character, 1 where it is a hex
+# digit: in a pattern, an alternation starting with [0-9A-Fa-f] would try a
+# match at every hex digit.
+_TRIGGER_RE = re.compile(r"[.@\\:\-](?=\S)")
+_HEX_MASK = bytes(chr(byte) in "0123456789ABCDEFabcdef" for byte in range(256))
+_HEX_TRIGGER = b"\x01" * 32
 _RUN_END_RE = re.compile(r"\S*")
 
 # Lower rank = higher priority when spans collide.
@@ -167,8 +170,7 @@ def _filename_pattern(extensions: Iterable[str]) -> re.Pattern[str]:
     return re.compile(rf"\b[\w.\-]+\.(?:{alternatives})\b", re.IGNORECASE)  # re caches the compiled pattern
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
     start: int
     end: int
     kind: IndicatorKind
@@ -178,12 +180,24 @@ class _Candidate:
 def _windows(doc: str) -> Iterator[tuple[int, int]]:
     """``(start, end)`` of each whitespace-delimited run of ``doc`` that holds
     a trigger, in order."""
+    # Non-ASCII characters encode as one "?" each, so offsets match.
+    hex_mask = doc.encode("ascii", "replace").translate(_HEX_MASK)
     end = 0
-    while (trigger := _TRIGGER_RE.search(doc, end)) is not None:
-        start = trigger.start()
+    punctuation = _TRIGGER_RE.search(doc)
+    while True:
+        if punctuation is not None and punctuation.start() < end:
+            punctuation = _TRIGGER_RE.search(doc, end)
+        # A hex trigger that starts before the punctuation one, which is no
+        # hex digit, also ends before it.
+        trigger = hex_mask.find(_HEX_TRIGGER, end, len(doc) if punctuation is None else punctuation.start())
+        if trigger < 0:
+            if punctuation is None:
+                return
+            trigger = punctuation.start()
+        start = trigger
         while start > end and not doc[start - 1].isspace():
             start -= 1
-        end = _RUN_END_RE.match(doc, trigger.end()).end()
+        end = _RUN_END_RE.match(doc, trigger).end()
         yield start, end
 
 

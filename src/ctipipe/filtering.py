@@ -10,10 +10,10 @@ incidents. Flagging is advisory; removal is the operator's call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 from itertools import chain, combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import ConfigError
 from .events import (
@@ -33,8 +33,7 @@ class DenylistError(ConfigError):
     CLI reports it as a config error."""
 
 
-@dataclass(frozen=True)
-class DenyRule:
+class DenyRule(NamedTuple):
     pattern: str
     type_scope: str | None = None
 
@@ -104,8 +103,8 @@ def dedup_attributes(event: Event) -> Event:
     attributes = []
     for attribute, comments in merged.values():
         comment = "; ".join(comments)
-        attributes.append(attribute if comment == attribute.comment else replace(attribute, comment=comment))
-    return replace(event, attributes=attributes)
+        attributes.append(attribute if comment == attribute.comment else attribute._replace(comment=comment))
+    return event._replace(attributes=attributes)
 
 
 def _protected(event: Event, attribute) -> bool:
@@ -129,18 +128,17 @@ def apply_denylist(event: Event, denylist: list[DenyRule]) -> Event:
             if any((scope is None or a.type == scope) and fnmatchcase(value, pattern) for scope, pattern in rules):
                 continue
         kept.append(a)
-    return replace(event, attributes=kept)
+    return event._replace(attributes=kept)
 
 
 def drop_values(event: Event, values: set[str]) -> Event:
     """Remove attributes whose value was flagged, honoring the same
     protections as the denylist."""
     kept = [a for a in event.attributes if _protected(event, a) or a.value not in values]
-    return replace(event, attributes=kept)
+    return event._replace(attributes=kept)
 
 
-@dataclass
-class NoiseReport:
+class NoiseReport(NamedTuple):
     scores: dict[str, float]
     threshold: float
     flagged: set[str]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -38,15 +37,21 @@ def _read_store(path: Path) -> list[Event]:
 
     A line counts as committed only once its newline is on disk, so an
     unterminated tail (torn final write) is skipped with a warning even if it
-    happens to parse. A terminated line that fails to parse is corruption.
+    happens to parse. A terminated line that fails to parse, or repeats an
+    event id, is corruption.
     """
     *lines, tail = path.read_bytes().split(b"\n")
     events: list[Event] = []
+    ids: set[int] = set()
     for line_number, line_bytes in enumerate(lines, start=1):
         try:
             line = line_bytes.decode("utf-8")
             if line.strip():
-                events.append(document_to_event(json.loads(line)))
+                event = document_to_event(json.loads(line))
+                if event.id in ids:
+                    raise ValueError(f"duplicate event id {event.id}")
+                ids.add(event.id)
+                events.append(event)
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             raise CorruptStoreError(path, line_number, str(exc)) from exc
     if tail.strip():
@@ -123,11 +128,11 @@ class EventStore:
         stored = []
         for event in events:
             attributes = [
-                replace(attribute, id=next_attribute_id + offset)
+                attribute._replace(id=next_attribute_id + offset)
                 for offset, attribute in enumerate(event.attributes)
             ]
             next_attribute_id += len(attributes)
-            stored.append(replace(event, id=next_event_id, attributes=attributes))
+            stored.append(event._replace(id=next_event_id, attributes=attributes))
             next_event_id += 1
         return stored
 

@@ -694,6 +694,25 @@ class TestRefusalsKeepTheStore:
         assert path.read_bytes() == before
         assert not (tmp_path / "export").exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "enrich", "filter", "stats", "correlate", "export"])
+    @pytest.mark.parametrize("line,problem", [
+        (lambda document: {**document, "id": 1}, "duplicate event id 1"),
+        (lambda document: {**document, "date": document["date"].replace("-", "")}, "malformed event document: date"),
+    ], ids=["repeated-id", "basic-date"])
+    def test_store_line_refused(self, golden_config, tmp_path, capsys, command, line, problem):
+        run(golden_config, "ingest")
+        path = tmp_path / "events.jsonl"
+        first, second, *rest = path.read_bytes().splitlines(keepends=True)
+        second = json.dumps(line(json.loads(second))).encode() + b"\n"
+        path.write_bytes(first + second + b"".join(rest))
+        before = path.read_bytes()
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "export")] if command == "export" else []
+        assert run(golden_config, command, *out) == 2
+        assert f"{path}:2: {problem}" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not (tmp_path / "export").exists()
+
 
 class TestExport:
     def test_documents_round_trip(self, golden_config, tmp_path):

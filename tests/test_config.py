@@ -2,7 +2,6 @@ import importlib.util
 import json
 import re
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,10 +43,10 @@ class TestKeyValueFormat:
                     "provider": {"base_url": "https://analysis.example.com/api", "api_key_env": "ANALYSIS_KEY"}}),
     ], ids=["key-value", "json"])
     def test_minimal_file_keeps_field_defaults(self, tmp_path, text):
-        # Every setting the file leaves out is the dataclass field's default.
+        # Every setting the file leaves out is the field's default.
         config = load_config(write(tmp_path, text))
         for source, cls in ((config, PipelineConfig), (config.provider_live, LiveProviderConfig)):
-            defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+            defaults = cls._field_defaults
             assert defaults
             for name, default in defaults.items():
                 if name != "provider_live":

@@ -843,7 +843,7 @@ class TestLinkSearch:
     link-derived edge count against the edge list."""
 
     options = st.one_of(
-        st.builds(GraphOptions, cross_set_only=st.booleans()),
+        st.builds(GraphOptions, fuzzy=st.just(False), threshold=st.just(0.8), cross_set_only=st.booleans()),
         st.builds(GraphOptions, fuzzy=st.just(True), threshold=st.sampled_from([0.5, 0.8, 1.0]),
                   cross_set_only=st.booleans()),
     )

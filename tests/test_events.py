@@ -214,6 +214,22 @@ class TestDocuments:
         with pytest.raises(ValueError, match="malformed attribute"):
             document_to_event(document)
 
+    @given(st.dates().flatmap(lambda d: st.sampled_from([
+        d.isoformat(), f"{d.year:04d}{d.month:02d}{d.day:02d}",
+        "{:04d}-W{:02d}-{}".format(*d.isocalendar()), "{:04d}W{:02d}{}".format(*d.isocalendar()),
+        "{:04d}-W{:02d}".format(*d.isocalendar()[:2]), "{:04d}W{:02d}".format(*d.isocalendar()[:2]),
+    ])))
+    @example("20141203")  # fromisoformat reads these as 2014-12-03; a commit would rewrite them
+    @example("2014-W49-3")
+    def test_date_accepted_exactly_when_written_back_unchanged(self, date):
+        document = event_to_document(Event(1, CLEAVER_DATE, "t.pdf", REPORT, []))
+        document["date"] = date
+        if dt.date.fromisoformat(date).isoformat() == date:
+            assert document_to_event(document).date.isoformat() == date
+        else:
+            with pytest.raises(ValueError, match="is not YYYY-MM-DD"):
+                document_to_event(document)
+
     # A field set to a value of another JSON type; type(), not isinstance():
     # a JSON true is no id, and neither is 1.0 or "1".
     @pytest.mark.parametrize("keys,value", [
@@ -355,19 +371,19 @@ class TestGrouping:
 
     def test_orphan_back_link_rejected(self):
         events = self.make_set("one.pdf", 1, [2])
-        events[1].attributes[1].value = "missing.pdf"
+        events[1].attributes[1] = events[1].attributes[1]._replace(value="missing.pdf")
         with pytest.raises(ValueError, match="unknown report"):
             group_event_sets(events)
 
     def test_malware_without_back_link_rejected(self):
         events = self.make_set("one.pdf", 1, [2])
-        events[1].attributes = [a for a in events[1].attributes if not is_back_link(a)]
+        events[1] = events[1]._replace(attributes=[a for a in events[1].attributes if not is_back_link(a)])
         with pytest.raises(ValueError, match="back-link"):
             group_event_sets(events)
 
     def test_report_with_back_link_rejected(self):
         events = self.make_set("one.pdf", 1, [])
-        events[0].attributes = [Attribute("Other", "", "one.pdf", "comment")]
+        events[0] = events[0]._replace(attributes=[Attribute("Other", "", "one.pdf", "comment")])
         with pytest.raises(ValueError, match="report event 1 has a back-link"):
             group_event_sets(events)
 
@@ -379,7 +395,7 @@ class TestGrouping:
     def test_event_set_invariant_holds(self, cleaver_record):
         report = Event(1, CLEAVER_DATE, CLEAVER_TITLE, REPORT, [])
         malware = build_malware_event(CLEAVER_MD5, cleaver_record, CLEAVER_TITLE, CLEAVER_DATE)
-        malware.id = 2
+        malware = malware._replace(id=2)
         grouped = group_event_sets([report, malware])
         assert isinstance(grouped[0], EventSet)
         for event in grouped[0].malware_events:

@@ -86,6 +86,21 @@ def old_extract_indicators(doc, source_id, extensions=None):
         return extract_indicators(doc, source_id, extensions)
 
 
+_OLD_TRIGGER_RE = re.compile(r"[.@\\:\-](?=\S)|[0-9A-Fa-f]{32}")
+
+
+def old_windows(doc):
+    """``_windows`` before the hex triggers were found in a byte mask: one
+    pattern search for both kinds of trigger. The oracle for the mask."""
+    end = 0
+    while (trigger := _OLD_TRIGGER_RE.search(doc, end)) is not None:
+        start = trigger.start()
+        while start > end and not doc[start - 1].isspace():
+            start -= 1
+        end = re.compile(r"\S*").match(doc, trigger.end()).end()
+        yield start, end
+
+
 def candidate_key(candidate):
     return (candidate.start, candidate.end, candidate.kind.value, candidate.value)
 
@@ -463,6 +478,7 @@ class TestAgainstOracles:
         assert normalize_defanged(raw) == old_normalize_defanged(raw)
         doc = normalize_defanged(raw)
         assert extract_indicators(doc, path.name) == old_extract_indicators(doc, path.name)
+        assert list(extraction._windows(doc)) == list(old_windows(doc))
 
     @given(_TEXTS, st.lists(_DEFANG_ENTRIES, max_size=4))
     @settings(max_examples=600)
@@ -471,6 +487,30 @@ class TestAgainstOracles:
     @example("h[x]xp://\u212a", [("[x]", "x"), ("HXXP", "http")])
     def test_normalize_matches_oracle(self, text, extra):
         assert normalize_defanged(text, extra) == old_normalize_defanged(text, extra)
+
+
+_WINDOW_HEX_RUNS = st.sampled_from([31, 32, 33, 64]).flatmap(
+    lambda n: st.text(alphabet="0123456789abcdefABCDEF", min_size=n, max_size=n)
+)
+_WINDOW_PIECES = st.sampled_from([" ", "\n", "\u00a0", "\u3000", ".", "-", "@", ":", "\\", "x", "g", "é", "\u0663",
+                                  "\uff10", "\U0001f600", "\ud800", "?"])
+_WINDOW_TEXTS = st.lists(st.one_of(_WINDOW_HEX_RUNS, _WINDOW_PIECES, st.text(max_size=3)), max_size=12).map("".join)
+
+
+class TestWindows:
+    @given(_WINDOW_TEXTS)
+    @settings(max_examples=800)
+    @example("")
+    @example("a" * 32)
+    @example("a" * 31)
+    @example("x " + "F" * 33)
+    @example("0" * 64 + " x.y")
+    @example("é" * 3 + "a" * 32 + "é")
+    @example("a" * 31 + "é" + "b" * 32 + ".")
+    @example("a" * 16 + ".x" + "b" * 32)
+    @example("." + "c" * 32 + " d.")
+    def test_matches_single_pattern_search(self, text):
+        assert list(extraction._windows(text)) == list(old_windows(text))
 
 
 class _RecordedPattern:

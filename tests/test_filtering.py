@@ -1,6 +1,5 @@
 import datetime as dt
 import random
-from dataclasses import replace
 from fnmatch import fnmatchcase
 
 import pytest
@@ -53,9 +52,9 @@ def ordered_dedup(event):
             comments[key].append(attribute.comment)
     merged = []
     for key in order:
-        attribute = replace(event.attributes[first[key]], comment="; ".join(comments[key]))
+        attribute = event.attributes[first[key]]._replace(comment="; ".join(comments[key]))
         merged.append(attribute)
-    return replace(event, attributes=merged)
+    return event._replace(attributes=merged)
 
 
 # Attributes over a small vocabulary, so (type, value) pairs and comments
@@ -87,7 +86,9 @@ class TestDedup:
         rng = random.Random(12)
         for _ in range(500):
             event = random_event(rng)
-            event.attributes += [replace(a, comment=rng.choice(["", "sandbox", a.comment])) for a in event.attributes]
+            event = event._replace(attributes=event.attributes + [
+                a._replace(comment=rng.choice(["", "sandbox", a.comment])) for a in event.attributes
+            ])
             rng.shuffle(event.attributes)
             assert dedup_attributes(event) == ordered_dedup(event)
 
@@ -158,7 +159,7 @@ def pairwise_denylist(event, rules):
         or (event.kind == MALWARE and a.type in HASH_TYPES)
         or not any(pairwise_matches(rule, a.type, a.value) for rule in rules)
     ]
-    return replace(event, attributes=kept)
+    return event._replace(attributes=kept)
 
 
 _deny_types = st.sampled_from(["filename", "other", "md5", "comment"])

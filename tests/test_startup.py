@@ -15,10 +15,12 @@ import pytest
 import ctipipe
 from ctipipe.cli import run_command
 
-from conftest import LAZARUS_DIR, run_python, write_config
+from conftest import GOLDEN_DIR, LAZARUS_DIR, run_python, write_config
 
 # The HTTP client and what it pulls in; the fetch workers' thread pool.
 HTTP_AND_THREADS = {"http.client", "ssl", "urllib.request", "concurrent.futures.thread"}
+# What building a dataclass needs: records are named tuples instead.
+DATACLASS_MACHINERY = {"dataclasses", "inspect"}
 
 # Printed on the last line of standard output, after whatever the code printed.
 _REPORT = "print(); print(*sorted(sys.modules))"
@@ -59,6 +61,47 @@ def test_path_query_loads_only_what_it_runs(tmp_path, capsys):
     unused = {"ctipipe.analytics", "ctipipe.enrichment", "ctipipe.filtering"} | HTTP_AND_THREADS
     assert sorted(loaded & unused) == []
     assert {"ctipipe.config", "ctipipe.events", "ctipipe.store", "ctipipe.correlation"} <= loaded
+
+
+def test_setup_start_loads_no_dataclass_machinery_or_patterns(tmp_path):
+    config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider")
+    loaded = loaded_modules(
+        "import ctipipe; from ctipipe.config import load_config; load_config(sys.argv[1])", str(config)
+    )
+    assert sorted(loaded & (DATACLASS_MACHINERY | {"ctipipe.extraction"})) == []
+
+
+def test_commands_load_the_indicator_patterns_only_where_they_extract(tmp_path):
+    # Each command runs in a fresh interpreter on the store the one before
+    # it left; only ingest, enrich and stats use the extraction patterns.
+    config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider")
+    commands = [
+        (["ingest"], True),
+        (["enrich"], True),
+        (["filter"], False),
+        (["stats"], True),
+        (["correlate", "--json", str(tmp_path / "graph.json")], False),
+        (["export", "--out", str(tmp_path / "export")], False),
+        (["correlate", "--path", "1", "3"], False),
+    ]
+    code = "from ctipipe.cli import run_command; assert run_command(sys.argv[1:]) == 0"
+    for arguments, extracts in commands:
+        loaded = loaded_modules(code, "-c", str(config), *arguments)
+        assert sorted(loaded & DATACLASS_MACHINERY) == [], arguments
+        assert ("ctipipe.extraction" in loaded) == extracts, arguments
+    assert (tmp_path / "graph.json").is_file() and len(list((tmp_path / "export").iterdir())) == 6
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(ctipipe.__file__).parent
+    for path in package.glob("*.py"):
+        imported = {
+            alias.name if isinstance(node, ast.Import) else node.module
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "dataclasses" not in imported, path.name
 
 
 def test_http_provider_loads_its_modules_on_first_fetch():

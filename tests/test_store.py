@@ -4,7 +4,6 @@ import logging
 import os
 import random
 import stat
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -106,6 +105,13 @@ class TestCrashRecovery:
             load_all(path)
         assert err.value.line_number == 2
 
+    def test_repeated_event_id_reports_line_number(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b"\n".join([_LINES[0], _LINES[0], _LINES[1]]) + b"\n")
+        with pytest.raises(CorruptStoreError, match=":2: duplicate event id 1") as err:
+            load_all(path)
+        assert err.value.line_number == 2
+
     def test_partial_trailing_line_tolerated(self, tmp_path, caplog):
         path = tmp_path / "events.jsonl"
         EventStore(path).extend([simple_event()])
@@ -169,7 +175,8 @@ class TestCrashRecovery:
 
 def offset_read_store(path):
     """The store reader before it split the file at newlines: a find/offset
-    loop with a hand-kept line counter. The oracle for ``_read_store``."""
+    loop with a hand-kept line counter, refusing a repeated event id. The
+    oracle for ``_read_store``."""
     blob = path.read_bytes()
     events = []
     line_number = 0
@@ -183,7 +190,10 @@ def offset_read_store(path):
         try:
             line = line_bytes.decode("utf-8")
             if line.strip():
-                events.append(document_to_event(json.loads(line)))
+                event = document_to_event(json.loads(line))
+                if event.id in [earlier.id for earlier in events]:
+                    raise ValueError(f"duplicate event id {event.id}")
+                events.append(event)
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             raise CorruptStoreError(path, line_number, str(exc)) from exc
         offset = newline + 1
@@ -192,7 +202,7 @@ def offset_read_store(path):
     return events
 
 
-_LINES = [json.dumps(event_to_document(replace(simple_event(f"r{i}.pdf"), id=i))).encode() for i in (1, 2, 3)]
+_LINES = [json.dumps(event_to_document(simple_event(f"r{i}.pdf")._replace(id=i))).encode() for i in (1, 2, 3)]
 _PIECES = st.sampled_from([*_LINES, b"", b" ", b"\t \r", b"{not json}", b"\xff\xfe", b'{"id": 4, "da', b"[]"])
 
 
@@ -233,7 +243,7 @@ class TestRewrite:
         path = tmp_path / "events.jsonl"
         store = EventStore(path)
         events = store.extend([simple_event(f"r{i}.pdf") for i in range(3)])
-        events[1].attributes = []
+        events[1] = events[1]._replace(attributes=[])
         store.rewrite(events)
         assert [e.id for e in load_all(path)] == [1, 2, 3]
         assert load_all(path)[1].attributes == []
