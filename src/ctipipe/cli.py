@@ -30,7 +30,7 @@ from .events import (
     report_hashes,
 )
 from .providers import AnalysisDataError, ProviderError
-from .store import EventStore, StoreError, atomic_write
+from .store import EventStore, StoreError, atomic_write, read_correlation_index
 
 
 class _UsageError(Exception):
@@ -225,11 +225,16 @@ def _cmd_stats(config: PipelineConfig, args) -> int:
 
 
 def _cmd_correlate(config: PipelineConfig, args) -> int:
-    from .correlation import GraphOptions, build_graph, find_path, graph_to_dot, graph_to_json
+    from .correlation import CorrelationGraph, GraphOptions, build_graph, find_path, graph_to_dot, graph_to_json
 
-    events = _open_store(config).events()
     options = GraphOptions(fuzzy=args.fuzzy, threshold=config.fuzzy_threshold, cross_set_only=args.cross_set_only)
-    graph = build_graph(events, options)
+    # The index a commit wrote with the store, while it matches the store;
+    # otherwise the store is parsed.
+    index = read_correlation_index(config.store_path, not args.cross_set_only)
+    if index is None:
+        graph = build_graph(_open_store(config).events(), options)
+    else:
+        graph = CorrelationGraph(*index, options)
     print(f"graph: {len(graph.nodes)} nodes, {graph.edge_count()} edges")
     if args.path:
         start, goal = args.path

@@ -13,16 +13,13 @@ from bisect import bisect_left
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .events import Event, value_holders
+from .events import NAME_LIKE_TYPES, Event, value_holders
 
 EXACT = "exact"
 FUZZY = "fuzzy"
-
-# Types eligible for similarity matching. Hashes, IPs, and CVEs are identities:
-# nearly-equal ones are unrelated, so they never fuzzy-match.
-NAME_LIKE_TYPES = frozenset({"hostname", "url", "email", "filename", "pdb", "other"})
 
 # Stripped from hostnames and URLs by canonical_name; fixed, not a setting.
 DEFAULT_PUBLIC_SUFFIXES = frozenset({"com", "net", "org"})
@@ -68,31 +65,34 @@ class Link(NamedTuple):
 
 
 class CorrelationGraph:
-    """Events as nodes, joined through the values they share or resemble:
-    ``links``, one per shared value and one per similar value pair, and
-    ``sides``, their index by event, are built on first use. Path search
-    reads them; :meth:`rows` streams the edges from them as ints, which
-    :meth:`edges` and the writers decode through ``ranked_sides``."""
+    """Events as nodes, joined through the values they share or resemble.
+    ``holders`` maps each (type, value) to the ascending ids of the events
+    holding it, as :func:`value_holders` orders it, back-links counted
+    unless ``options.cross_set_only``; it may leave out a value held once,
+    unless the value is name-like. ``links``, one per shared value and one
+    per similar value pair, and ``sides``, their index by event, are built
+    from it on first use. Path search reads them; :meth:`rows` streams the
+    edges from them as ints, which :meth:`edges` and the writers decode
+    through ``ranked_sides``."""
 
     def __init__(
         self,
         nodes: dict[int, tuple[str, str]],  # event id -> (kind, info)
-        events: Sequence[Event] = (),
+        holders: Mapping[tuple[str, str], Sequence[int]] = MappingProxyType({}),
         options: GraphOptions = GraphOptions(),
     ):
         self.nodes = nodes
-        self.events = events
+        self.holders = holders
         self.options = options
 
     @cached_property
     def links(self) -> list[Link]:
         # Back-links are never name-like, so cross_set_only leaves the
         # similar pairs as they are.
-        owners = value_holders(((e.id, (e,)) for e in self.events), not self.options.cross_set_only)
         links = [Link(EXACT, data_type, value, (ids := tuple(keys)), value, ids, 1.0)
-                 for (data_type, value), keys in owners.items() if len(keys) > 1]
+                 for (data_type, value), keys in self.holders.items() if len(keys) > 1]
         if self.options.fuzzy:
-            links += _similar_values(owners, self.options.threshold)
+            links += _similar_values(self.holders, self.options.threshold)
         return links
 
     @cached_property
@@ -237,7 +237,7 @@ def fuzzy_edges(events: list[Event], threshold: float = DEFAULT_FUZZY_THRESHOLD)
     return list(graph.edges())
 
 
-def _similar_values(owners: dict[tuple[str, str], list[int]], threshold: float) -> list[Link]:
+def _similar_values(owners: Mapping[tuple[str, str], Sequence[int]], threshold: float) -> list[Link]:
     """One fuzzy link for each pair of distinct name-like values of one type
     whose similarity reaches ``threshold``, weight rounded to 9 places.
 
@@ -324,8 +324,10 @@ def _packed_lcs(packed: tuple[list[int], dict[str, int], int], text: str, start:
 
 def build_graph(events: list[Event], options: GraphOptions | None = None) -> CorrelationGraph:
     """The graph of ``events``; its links and edges are built when first read."""
+    options = options or GraphOptions()
     nodes = {event.id: (event.kind, event.info) for event in events}
-    return CorrelationGraph(nodes, events, options or GraphOptions())
+    holders = value_holders(((event.id, (event,)) for event in events), not options.cross_set_only)
+    return CorrelationGraph(nodes, holders, options)
 
 
 def find_path(graph: CorrelationGraph, start: int, goal: int) -> list[int] | None:

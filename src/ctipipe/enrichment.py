@@ -96,12 +96,12 @@ class AnalysisRecord(NamedTuple):
                 timestamp = timestamp.replace(tzinfo=dt.timezone.utc)
             timestamp = timestamp.astimezone(dt.timezone.utc)
 
-        lists: dict[str, list[str]] = {}
+        lists: dict[str, tuple[str, ...]] = {}
         for name in _LIST_FIELDS:
             raw = document.get(name, [])
             if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
                 raise AnalysisDataError(name, "expected a list of strings")
-            lists[name] = list(raw)
+            lists[name] = tuple(raw)
 
         for ip in lists["contacted_ips"]:
             if not is_valid_ip(ip):
@@ -115,7 +115,7 @@ class AnalysisRecord(NamedTuple):
             value = value.lower()
             if value not in own and value not in dropped:
                 dropped.append(value)
-        lists["dropped_hashes"] = dropped
+        lists["dropped_hashes"] = tuple(dropped)
 
         return cls(
             md5=hashes["md5"],

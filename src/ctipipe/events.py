@@ -25,6 +25,9 @@ CATEGORY = {
 }
 ATTRIBUTE_TYPES = frozenset(CATEGORY)
 HASH_TYPES = frozenset({"md5", "sha1", "sha256"})
+# Types eligible for similarity matching. Hashes, IPs, and CVEs are identities:
+# nearly-equal ones are unrelated, so they never fuzzy-match.
+NAME_LIKE_TYPES = frozenset({"hostname", "url", "email", "filename", "pdb", "other"})
 
 
 # Records are immutable named tuples; ``record._replace(field=value)`` is

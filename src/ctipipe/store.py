@@ -7,6 +7,15 @@ Every commit replaces the whole file through a temp file, so a failed
 commit leaves the store as it was. The bytes after the last newline (a torn
 write) are not committed: reading ignores them and the next commit removes
 them, so a committed event is stored whole or not at all.
+
+Each commit then writes the store's correlation index,
+``<store>.correlation.json``: the node table and the value holders of the
+events a read would give, so that ``correlate`` can build its graph without
+parsing the store. Its first line is a header: the format tag, the store's
+byte length, the ``blake2b`` digest of the store and that of the rest of the
+index, the body. A reader uses the index only while the header matches the
+store and the body, so an index that a failed or torn commit left behind is
+ignored, never repaired.
 """
 
 from __future__ import annotations
@@ -14,10 +23,14 @@ from __future__ import annotations
 import json
 import logging
 import os
-from pathlib import Path
-from typing import Iterable
 
-from .events import Event, document_to_event, event_to_document
+# hashlib.blake2b itself: importing hashlib also starts its OpenSSL module,
+# about 3 ms, which every command that imports the store would pay.
+from _blake2 import blake2b
+from pathlib import Path
+from typing import Callable, Iterable
+
+from .events import NAME_LIKE_TYPES, Event, document_to_event, event_to_document, value_holders
 
 log = logging.getLogger(__name__)
 
@@ -32,26 +45,43 @@ class CorruptStoreError(StoreError):
         super().__init__(f"{path}:{line_number}: {reason}")
 
 
+def _document_reader() -> Callable[[dict], Event]:
+    """A function making each of a store's documents, in order, into the
+    event it stores: :func:`document_to_event`, then a ValueError if the
+    event repeats an event id or an attribute id of the store."""
+    event_ids: set[int] = set()
+    attribute_ids: set[int] = set()
+
+    def read(document: dict) -> Event:
+        event = document_to_event(document)
+        if event.id in event_ids:
+            raise ValueError(f"duplicate event id {event.id}")
+        event_ids.add(event.id)
+        for attribute in event.attributes:
+            if attribute.id in attribute_ids:
+                raise ValueError(f"duplicate attribute id {attribute.id}")
+            attribute_ids.add(attribute.id)
+        return event
+
+    return read
+
+
 def _read_store(path: Path) -> list[Event]:
     """Parse the store file into its committed events.
 
     A line counts as committed only once its newline is on disk, so an
     unterminated tail (torn final write) is skipped with a warning even if it
     happens to parse. A terminated line that fails to parse, or repeats an
-    event id, is corruption.
+    event id or an attribute id, is corruption.
     """
     *lines, tail = path.read_bytes().split(b"\n")
     events: list[Event] = []
-    ids: set[int] = set()
+    read = _document_reader()
     for line_number, line_bytes in enumerate(lines, start=1):
         try:
             line = line_bytes.decode("utf-8")
             if line.strip():
-                event = document_to_event(json.loads(line))
-                if event.id in ids:
-                    raise ValueError(f"duplicate event id {event.id}")
-                ids.add(event.id)
-                events.append(event)
+                events.append(read(json.loads(line)))
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             raise CorruptStoreError(path, line_number, str(exc)) from exc
     if tail.strip():
@@ -76,6 +106,106 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+# The first word of an index's header; a change of the body's layout changes it.
+INDEX_FORMAT = "ctipipe-correlation-index/1"
+
+
+def index_path(store_path: str | Path) -> Path:
+    return Path(f"{store_path}.correlation.json")
+
+
+class _IndexedLines:
+    """A commit's store lines, made one event at a time as they are written,
+    and what the index takes from them: their byte length and digest, and
+    the node ``[id, kind, info]`` of each event a read of them gives, or
+    None once a read would refuse one."""
+
+    def __init__(self):
+        self.length = 0
+        self.digest = blake2b()
+        self.nodes: list[list] | None = []
+        self._read = _document_reader()
+
+    def line(self, event: Event) -> str:
+        document = event_to_document(event)
+        if self.nodes is not None:
+            try:
+                stored = self._read(document)
+            except ValueError:
+                self.nodes = None
+            else:
+                self.nodes.append([stored.id, stored.kind, stored.info])
+        line = json.dumps(document) + "\n"
+        data = line.encode("utf-8")
+        self.length += len(data)
+        self.digest.update(data)
+        return line
+
+
+def _index_rows(holders: dict[tuple[str, str], list[int]]) -> tuple[list[list], list[list]]:
+    """The rows of ``holders`` an index keeps, in order. A "comment" value,
+    the one type a back-link has, is kept when held twice, as ``[at, value,
+    ids]``, ``at`` being the number of other rows before it; a value of
+    another type when held twice or name-like, as ``[type, value, ids]``."""
+    rows: list[list] = []
+    comment_rows: list[list] = []
+    for (data_type, value), ids in holders.items():
+        if data_type == "comment":
+            if len(ids) > 1:
+                comment_rows.append([len(rows), value, ids])
+        elif len(ids) > 1 or data_type in NAME_LIKE_TYPES:
+            rows.append([data_type, value, ids])
+    return rows, comment_rows
+
+
+def _write_index(store_path: Path, written: _IndexedLines, events: list[Event]) -> None:
+    """Write the index of the store ``written`` made of ``events``: the node
+    table, and :func:`value_holders` without and with back-links counted,
+    which differ in their "comment" rows only."""
+    rows, skipped = _index_rows(value_holders(((e.id, (e,)) for e in events), False))
+    _, counted = _index_rows(value_holders(((e.id, (e,)) for e in events), True))
+    body = json.dumps({"nodes": written.nodes, "holders": rows, "comment_holders": [skipped, counted]},
+                      separators=(",", ":"))
+    body_digest = blake2b(body.encode("utf-8")).hexdigest()
+    header = f"{INDEX_FORMAT} {written.length} {written.digest.hexdigest()} {body_digest}\n"
+    try:
+        atomic_write(index_path(store_path), [header, body])
+    except OSError as exc:
+        # The store is committed; correlate parses it while its index is stale.
+        log.warning("%s: correlation index not written: %s", store_path, exc)
+
+
+def read_correlation_index(
+    store_path: str | Path, count_back_links: bool
+) -> tuple[dict[int, tuple[str, str]], dict[tuple[str, str], list[int]]] | None:
+    """The node table (event id -> (kind, info)) and the value holders, back-links
+    counted or not, that the store's index holds; None when the index is
+    missing or its header does not match the store on disk and its own body.
+    Reading never writes."""
+    store_path = Path(store_path)
+    try:
+        with open(index_path(store_path), "rb") as handle:
+            header = handle.readline()
+            body = handle.read()
+        store = store_path.read_bytes()
+    except OSError:
+        return None
+    expected = (f"{INDEX_FORMAT} {len(store)} {blake2b(store).hexdigest()} "
+                f"{blake2b(body).hexdigest()}\n")
+    if header != expected.encode("utf-8"):
+        return None
+    try:
+        document = json.loads(body)
+        rows = [((data_type, value), ids) for data_type, value, ids in document["holders"]]
+        # Each "comment" row back in its place, the last first, so that the
+        # places before it still count the same rows.
+        for at, value, ids in reversed(document["comment_holders"][count_back_links]):
+            rows.insert(at, (("comment", value), ids))
+        return {node: (kind, info) for node, kind, info in document["nodes"]}, dict(rows)
+    except (ValueError, KeyError, TypeError):  # a body of another layout under this tag
+        return None
 
 
 def load_all(path: str | Path) -> list[Event]:
@@ -137,12 +267,17 @@ class EventStore:
         return stored
 
     def rewrite(self, events: list[Event]) -> None:
-        """Atomically replace the store content, keeping the given ids.
+        """Atomically replace the store content, keeping the given ids, then
+        its correlation index; no index is written for content that a read
+        would refuse or find empty.
 
         Every commit goes through here: :meth:`append`, :meth:`extend`,
         :meth:`rebuild` and the filtering stage, which rewrites events rather
         than adding new ones.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(self.path, (json.dumps(event_to_document(event)) + "\n" for event in events))
+        written = _IndexedLines()
+        atomic_write(self.path, map(written.line, events))
         self._events = list(events)
+        if written.nodes:
+            _write_index(self.path, written, events)

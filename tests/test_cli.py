@@ -697,8 +697,10 @@ class TestRefusalsKeepTheStore:
     @pytest.mark.parametrize("command", ["ingest", "enrich", "filter", "stats", "correlate", "export"])
     @pytest.mark.parametrize("line,problem", [
         (lambda document: {**document, "id": 1}, "duplicate event id 1"),
+        (lambda document: {**document, "Attribute": [{**document["Attribute"][0], "id": 1}]},
+         "duplicate attribute id 1"),
         (lambda document: {**document, "date": document["date"].replace("-", "")}, "malformed event document: date"),
-    ], ids=["repeated-id", "basic-date"])
+    ], ids=["repeated-id", "repeated-attribute-id", "basic-date"])
     def test_store_line_refused(self, golden_config, tmp_path, capsys, command, line, problem):
         run(golden_config, "ingest")
         path = tmp_path / "events.jsonl"

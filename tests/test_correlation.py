@@ -13,7 +13,6 @@ import ctipipe.correlation as correlation
 from ctipipe.correlation import (
     EXACT,
     FUZZY,
-    NAME_LIKE_TYPES,
     CorrelationGraph,
     Edge,
     GraphOptions,
@@ -30,7 +29,7 @@ from ctipipe.correlation import (
     name_similarity,
     temporal_timeline,
 )
-from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT
+from ctipipe.events import NAME_LIKE_TYPES, Attribute, Event, EventSet, MALWARE, REPORT
 from ctipipe.store import atomic_write, load_all
 
 from conftest import DATA_DIR, random_event

@@ -1,0 +1,241 @@
+"""The correlation index each store commit writes beside the store: the
+graph built from it is the graph built from a parse of the store, and
+``correlate`` reads it only while it matches the store and its own body;
+otherwise it parses the store, with the same output."""
+
+import datetime as dt
+import itertools
+import logging
+import shutil
+from hashlib import blake2b
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ctipipe.store as store_module
+import test_correlation
+from ctipipe.cli import run_command
+from ctipipe.correlation import CorrelationGraph, GraphOptions, build_graph, find_path
+from ctipipe.events import MALWARE, REPORT, Attribute, Event
+from ctipipe.store import INDEX_FORMAT, CorruptStoreError, EventStore, index_path, load_all, read_correlation_index
+
+from conftest import GOLDEN_DIR, write_config
+from test_events import _holder_attributes
+
+# Events whose "comment" values are back-links (category "Other") or plain
+# values, so that a value can be held both ways and counting back-links
+# moves it in the holder order.
+_mixed_comment_events = st.lists(_holder_attributes, max_size=6).map(
+    lambda drafts: [Event(0, dt.date(2020, 1, 1), f"e{i}", REPORT, attributes) for i, attributes in enumerate(drafts)]
+)
+# "a" is a back-link of event 1 and a plain value of events 2 and 3: it
+# comes before "b" in the holders with back-links counted, after it without.
+_MOVED = [
+    Event(0, dt.date(2020, 1, 1), "e1", MALWARE, [Attribute("Other", "", "a", "comment"),
+                                                   Attribute("Other", "", "b", "other")]),
+    Event(0, dt.date(2020, 1, 1), "e2", REPORT, [Attribute("Artifacts dropped", "", "a", "comment"),
+                                                  Attribute("Other", "", "b", "other")]),
+    Event(0, dt.date(2020, 1, 1), "e3", REPORT, [Attribute("Artifacts dropped", "", "a", "comment")]),
+]
+
+
+@given(st.one_of(test_correlation._graph_events, _mixed_comment_events), test_correlation.TestLinkSearch.options)
+@example(_MOVED, GraphOptions())
+@example(_MOVED, GraphOptions(cross_set_only=True))
+@settings(max_examples=300)
+def test_index_graph_is_the_parsed_graph(tmp_path_factory, events, options):
+    path = tmp_path_factory.mktemp("store") / "events.jsonl"
+    EventStore(path).rebuild(events)
+    index = read_correlation_index(path, not options.cross_set_only)
+    try:
+        parsed = load_all(path)
+    except CorruptStoreError:  # an event with two back-links
+        assert index is None
+        return
+    if not parsed:
+        assert index is None
+        return
+    graph = CorrelationGraph(*index, options)
+    expected = build_graph(parsed, options)
+    assert list(graph.nodes.items()) == list(expected.nodes.items())
+    assert graph.links == expected.links
+    assert list(graph.edges()) == list(expected.edges())
+    for start, goal in itertools.product(expected.nodes, repeat=2):
+        assert find_path(graph, start, goal) == find_path(expected, start, goal), (start, goal)
+
+
+@pytest.fixture
+def config(tmp_path):
+    """The golden corpus after ingest, enrich and filter."""
+    path = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider",
+                        denylist=GOLDEN_DIR / "denylist.txt", retry_backoff=0)
+    for command in ("ingest", "enrich", "filter"):
+        assert run_command(["-c", str(path), command]) == 0
+    return path
+
+
+def correlate_outputs(config, capsys):
+    """Exit code and stdout of each correlate mode, and the bytes of the
+    graph files written."""
+    out = config.parent / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    last = "6"  # the golden corpus makes 2 report and 4 malware events
+    modes = [
+        ["--path", "1", last],
+        ["--fuzzy", "--path", "1", last],
+        ["--cross-set-only", "--path", "1", last],
+        ["--cross-set-only", "--fuzzy", "--path", last, "1"],
+        ["--path", "1", "99"],
+        ["--json", str(out / "graph.json"), "--dot", str(out / "graph.dot")],
+        ["--cross-set-only", "--fuzzy", "--json", str(out / "graph.json")],
+    ]
+    capsys.readouterr()
+    outputs = []
+    for mode in modes:
+        code = run_command(["-c", str(config), "correlate", *mode])
+        captured = capsys.readouterr()
+        files = sorted((p.name, p.read_bytes()) for p in out.iterdir())
+        outputs.append((mode, code, captured.out, captured.err, files))
+    return outputs
+
+
+def parsed_outputs(config, capsys):
+    """The outputs of correlate without an index, which parses the store."""
+    index = index_path(config.parent / "events.jsonl")
+    saved = index.read_bytes() if index.exists() else None
+    index.unlink(missing_ok=True)
+    try:
+        return correlate_outputs(config, capsys)
+    finally:
+        if saved is not None:
+            index.write_bytes(saved)
+
+
+def test_commits_write_the_index(config):
+    store = config.parent / "events.jsonl"
+    header = index_path(store).read_bytes().split(b"\n", 1)[0].split()
+    assert header[:2] == [INDEX_FORMAT.encode(), str(store.stat().st_size).encode()]
+    assert read_correlation_index(store, True) is not None
+    assert read_correlation_index(store, False) is not None
+
+
+def test_correlate_reads_the_index_and_not_the_store(config, capsys, monkeypatch):
+    expected = parsed_outputs(config, capsys)
+
+    def no_parse(path):
+        raise AssertionError("correlate parsed the store")
+
+    monkeypatch.setattr(store_module, "_read_store", no_parse)
+    assert correlate_outputs(config, capsys) == expected
+
+
+def _stale(index, store):
+    # Same length, one character of an event's info changed: only the
+    # digest tells the store from the one the index was written for.
+    data = store.read_bytes()
+    at = data.index(b'"info": "') + len(b'"info": "')
+    store.write_bytes(data[:at] + (b"Y" if data[at:at + 1] != b"Y" else b"Z") + data[at + 1:])
+
+
+def _truncated(index, store):
+    index.write_bytes(index.read_bytes()[: index.stat().st_size // 2])
+
+
+def _foreign_tag(index, store):
+    index.write_bytes(index.read_bytes().replace(INDEX_FORMAT.encode(), b"ctipipe-correlation-index/0", 1))
+
+
+def _body_corrupted(index, store):
+    header, body = index.read_bytes().split(b"\n", 1)
+    at = body.index(b"[1,")  # the first node's id
+    index.write_bytes(header + b"\n" + body[:at + 1] + b"7" + body[at + 2:])
+
+
+def _header_only(index, store):
+    index.write_bytes(index.read_bytes().split(b"\n", 1)[0] + b"\n")
+
+
+def _other_layout(index, store):
+    # A header that matches the store and the body, over a body this
+    # reader cannot read.
+    header = index.read_bytes().split(b"\n", 1)[0].split()
+    body = b'{"nodes": {}}'
+    header[-1] = blake2b(body).hexdigest().encode()
+    index.write_bytes(b" ".join(header) + b"\n" + body)
+
+
+@pytest.mark.parametrize("damage", [_stale, _truncated, _foreign_tag, _body_corrupted, _header_only, _other_layout])
+def test_unmatched_index_falls_back_to_the_parse(config, capsys, damage):
+    store = config.parent / "events.jsonl"
+    index = index_path(store)
+    damage(index, store)
+    stored, indexed = store.read_bytes(), index.read_bytes()
+    assert read_correlation_index(store, True) is None
+    assert read_correlation_index(store, False) is None
+    assert correlate_outputs(config, capsys) == parsed_outputs(config, capsys)
+    # Reading never writes: the index is not repaired.
+    assert (store.read_bytes(), index.read_bytes()) == (stored, indexed)
+
+
+def test_empty_store_falls_back_to_the_parse(config, capsys):
+    store = config.parent / "events.jsonl"
+    store.write_bytes(b"")
+    assert correlate_outputs(config, capsys) == parsed_outputs(config, capsys)
+    assert all(code == 2 and "is empty" in err for _, code, _, err, _ in correlate_outputs(config, capsys))
+
+
+def test_empty_commit_writes_no_index(tmp_path):
+    store = tmp_path / "events.jsonl"
+    EventStore(store).rewrite([])
+    assert store.read_bytes() == b""
+    assert not index_path(store).exists()
+
+
+def test_torn_tail_falls_back_to_the_parse_with_its_warning(config, capsys, caplog):
+    store = config.parent / "events.jsonl"
+    with open(store, "ab") as handle:
+        handle.write(b'{"id": 99, "da')
+    assert read_correlation_index(store, True) is None
+    with caplog.at_level(logging.WARNING, logger="ctipipe.store"):
+        outputs = correlate_outputs(config, capsys)
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == len(outputs)
+    assert all("uncommitted trailing bytes" in message for message in warnings)
+    assert outputs == parsed_outputs(config, capsys)
+
+
+def test_rewrite_keeping_repeated_ids_writes_no_index(config, capsys):
+    store = config.parent / "events.jsonl"
+    events = EventStore(store).events()
+    first, second, *rest = events
+    repeated = second._replace(attributes=[a._replace(id=first.attributes[0].id) for a in second.attributes])
+    EventStore(store).rewrite([first, repeated, *rest])
+    assert read_correlation_index(store, True) is None
+    for _, code, out, err, _ in correlate_outputs(config, capsys):
+        assert code == 2 and out == ""
+        assert f"{store}:2: duplicate attribute id {first.attributes[0].id}" in err
+
+
+def test_failed_index_write_keeps_the_commit(config, capsys, monkeypatch, caplog):
+    store = config.parent / "events.jsonl"
+    index = index_path(store)
+    indexed = index.read_bytes()
+    events = EventStore(store).events()
+    write = store_module.atomic_write
+
+    def failing_index_write(path, chunks):
+        if path == index:
+            raise OSError("disk full")
+        write(path, chunks)
+
+    monkeypatch.setattr(store_module, "atomic_write", failing_index_write)
+    with caplog.at_level(logging.WARNING, logger="ctipipe.store"):
+        EventStore(store).rewrite(events[:-1])
+    monkeypatch.undo()
+    assert "correlation index not written: disk full" in caplog.text
+    assert load_all(store) == events[:-1]
+    assert index.read_bytes() == indexed
+    assert read_correlation_index(store, True) is None
+    assert correlate_outputs(config, capsys) == parsed_outputs(config, capsys)

@@ -99,9 +99,9 @@ class TestFetchAnalysis:
     def test_cleaver_record(self, golden_provider):
         record = fetch_analysis(CLEAVER_MD5, golden_provider)
         assert record.sha1 == CLEAVER_SHA1
-        assert record.filenames == ["zhcat.exe"]
-        assert record.contacted_ips == ["1.224.181.13"]
-        assert record.pdb_paths == [CLEAVER_PDB]
+        assert record.filenames == ("zhcat.exe",)
+        assert record.contacted_ips == ("1.224.181.13",)
+        assert record.pdb_paths == (CLEAVER_PDB,)
         assert record.md5 is None and record.sha256 is None
 
     def test_absent_hash(self, golden_provider):
@@ -151,7 +151,14 @@ class TestFetchAnalysis:
     def test_own_hashes_removed_from_dropped(self):
         doc = record_doc(A, dropped=[A.upper(), B, B])
         record = fetch_analysis(A, MappingProvider({A: doc}))
-        assert record.dropped_hashes == [B]
+        assert record.dropped_hashes == (B,)
+
+    def test_record_equals_the_defaults_it_reads_as(self):
+        # Defaults are empty tuples, so the list fields read back as tuples.
+        assert AnalysisRecord(md5=A) == AnalysisRecord.from_document({"md5": A})
+        assert AnalysisRecord(md5=A, filenames=("x.exe",)) == AnalysisRecord.from_document(
+            {"md5": A, "filenames": ["x.exe"]}
+        )
 
     def test_timestamp_normalized_to_utc(self):
         doc = record_doc(A)
@@ -313,10 +320,11 @@ def _digest(length):
 
 
 _values = st.lists(st.text(max_size=4), max_size=3)
+# record_to_attributes reads neither compile_timestamp nor dropped_hashes.
 _records = st.builds(
-    AnalysisRecord, md5=_digest(32), sha1=_digest(40), sha256=_digest(64), filenames=_values,
-    contacted_ips=_values, contacted_urls=_values, pdb_paths=_values, code_sign_serials=_values,
-    mutexes=_values, file_mappings=_values, strings=_values,
+    AnalysisRecord, md5=_digest(32), sha1=_digest(40), sha256=_digest(64), compile_timestamp=st.none(),
+    filenames=_values, contacted_ips=_values, contacted_urls=_values, pdb_paths=_values,
+    code_sign_serials=_values, mutexes=_values, file_mappings=_values, strings=_values, dropped_hashes=st.just(()),
 )
 
 
@@ -475,7 +483,7 @@ class TestProviders:
         url, arrivals = scripted_server([(429, {"Retry-After": "0.2"}, b""), (200, {}, document)])
         provider = HttpProvider(url, "CTIPIPE_TEST_KEY", rate_limit=1000)
         result = enrich_transitively({A}, provider, 1, retries=1, backoff=0, max_workers=1)
-        assert result.records[A].filenames == ["late.exe"]
+        assert result.records[A].filenames == ("late.exe",)
         assert len(arrivals) == 2
         assert arrivals[1][0] - arrivals[0][0] >= 0.2
 

@@ -310,6 +310,7 @@ _holder_attributes = st.lists(st.builds(
     st.just(""),
     st.sampled_from(["a", "b", "r.pdf"]),
     st.sampled_from(["comment", "other", "filename"]),
+    st.just(0),  # the id, which value_holders does not read
 ), max_size=5)
 _holder_groups = st.lists(st.tuples(
     st.integers(0, 6),

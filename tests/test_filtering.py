@@ -173,6 +173,7 @@ _deny_events = st.builds(
             st.just(""),
             st.text(st.sampled_from("aAbB.*?[]İß"), max_size=6),
             _deny_types,
+            st.just(0),  # the id, which the denylist does not read
         ),
         max_size=8,
     ),

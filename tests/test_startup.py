@@ -73,7 +73,9 @@ def test_setup_start_loads_no_dataclass_machinery_or_patterns(tmp_path):
 
 def test_commands_load_the_indicator_patterns_only_where_they_extract(tmp_path):
     # Each command runs in a fresh interpreter on the store the one before
-    # it left; only ingest, enrich and stats use the extraction patterns.
+    # it left; only ingest, enrich and stats use the extraction patterns,
+    # and only correlate the correlation module: a commit writes the
+    # correlation index without it.
     config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider")
     commands = [
         (["ingest"], True),
@@ -89,6 +91,7 @@ def test_commands_load_the_indicator_patterns_only_where_they_extract(tmp_path):
         loaded = loaded_modules(code, "-c", str(config), *arguments)
         assert sorted(loaded & DATACLASS_MACHINERY) == [], arguments
         assert ("ctipipe.extraction" in loaded) == extracts, arguments
+        assert ("ctipipe.correlation" in loaded) == (arguments[0] == "correlate"), arguments
     assert (tmp_path / "graph.json").is_file() and len(list((tmp_path / "export").iterdir())) == 6
 
 

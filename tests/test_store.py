@@ -20,7 +20,7 @@ from ctipipe.events import (
     event_to_document,
 )
 from ctipipe.extraction import Indicator, IndicatorKind
-from ctipipe.store import CorruptStoreError, EventStore, _read_store, atomic_write, load_all
+from ctipipe.store import CorruptStoreError, EventStore, _read_store, atomic_write, index_path, load_all
 
 from conftest import CLEAVER_DATE, CLEAVER_MD5, CLEAVER_TITLE, DATA_DIR, random_event
 
@@ -112,6 +112,18 @@ class TestCrashRecovery:
             load_all(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("position,repeated", [(-1, 7), (0, 3)], ids=["same-event", "earlier-event"])
+    def test_repeated_attribute_id_reports_line_number(self, tmp_path, position, repeated):
+        # Line 1 of the golden store holds attribute ids 1-3, line 2 ids 4-8.
+        first, second = GOLDEN_STORE.read_bytes().splitlines(keepends=True)
+        document = json.loads(second)
+        document["Attribute"][position]["id"] = repeated
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(first + json.dumps(document).encode() + b"\n")
+        with pytest.raises(CorruptStoreError, match=f":2: duplicate attribute id {repeated}$") as err:
+            load_all(path)
+        assert err.value.line_number == 2
+
     def test_partial_trailing_line_tolerated(self, tmp_path, caplog):
         path = tmp_path / "events.jsonl"
         EventStore(path).extend([simple_event()])
@@ -175,8 +187,8 @@ class TestCrashRecovery:
 
 def offset_read_store(path):
     """The store reader before it split the file at newlines: a find/offset
-    loop with a hand-kept line counter, refusing a repeated event id. The
-    oracle for ``_read_store``."""
+    loop with a hand-kept line counter, refusing a repeated event id or
+    attribute id. The oracle for ``_read_store``."""
     blob = path.read_bytes()
     events = []
     line_number = 0
@@ -193,6 +205,10 @@ def offset_read_store(path):
                 event = document_to_event(json.loads(line))
                 if event.id in [earlier.id for earlier in events]:
                     raise ValueError(f"duplicate event id {event.id}")
+                for position, attribute in enumerate(event.attributes):
+                    earlier = [a.id for e in events for a in e.attributes] + [a.id for a in event.attributes[:position]]
+                    if attribute.id in earlier:
+                        raise ValueError(f"duplicate attribute id {attribute.id}")
                 events.append(event)
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             raise CorruptStoreError(path, line_number, str(exc)) from exc
@@ -202,8 +218,15 @@ def offset_read_store(path):
     return events
 
 
-_LINES = [json.dumps(event_to_document(simple_event(f"r{i}.pdf")._replace(id=i))).encode() for i in (1, 2, 3)]
-_PIECES = st.sampled_from([*_LINES, b"", b" ", b"\t \r", b"{not json}", b"\xff\xfe", b'{"id": 4, "da', b"[]"])
+def _line(event_id, attribute_id):
+    event = simple_event(f"r{event_id}.pdf")
+    event = event._replace(id=event_id, attributes=[event.attributes[0]._replace(id=attribute_id)])
+    return json.dumps(event_to_document(event)).encode()
+
+
+# Three lines with distinct ids, and one that repeats the first one's attribute id.
+_LINES = [_line(i, i) for i in (1, 2, 3)]
+_PIECES = st.sampled_from([*_LINES, _line(4, 1), b"", b" ", b"\t \r", b"{not json}", b"\xff\xfe", b'{"id": 4, "da', b"[]"])
 
 
 class TestReadStoreMatchesOffsetLoop:
@@ -232,6 +255,7 @@ class TestReadStoreMatchesOffsetLoop:
     @example(lines=[(_LINES[0], b"\n")], tail=b" \t\r ")  # a tail of only whitespace
     @example(lines=[(_LINES[0], b"\n"), (b"\xe9", b"\n")], tail=b"")  # invalid UTF-8
     @example(lines=[(b"", b"\n"), (b" ", b"\r\n"), (b"{not json}", b"\n")], tail=b"")  # corrupt after blanks
+    @example(lines=[(_LINES[0], b"\n"), (_line(4, 1), b"\n")], tail=b"")  # a repeated attribute id
     def test_same_events_errors_and_warnings(self, tmp_path_factory, lines, tail):
         path = tmp_path_factory.mktemp("store") / "events.jsonl"
         path.write_bytes(b"".join(line + ending for line, ending in lines) + tail)
@@ -329,10 +353,13 @@ class TestAtomicWrite:
         store.extend([simple_event()])
         before = path.read_bytes()
         monkeypatch.setattr(os, "fsync", failing_fsync)
+        index_before = index_path(path).read_bytes()
         with pytest.raises(OSError, match="disk full"):
             store.extend([simple_event("r1.pdf"), simple_event("r2.pdf")])
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert index_path(path).read_bytes() == index_before
+        # A commit is the store and its index; no temp file is left.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, index_path(path).name]
         monkeypatch.undo()
         assert store.events() == load_all(path)
         assert store.extend([simple_event("r3.pdf")])[0].id == 2
@@ -351,7 +378,7 @@ class TestAtomicWrite:
         fsyncs = []
         monkeypatch.setattr(os, "fsync", lambda descriptor: fsyncs.append(descriptor))
         rebuilt = store.rebuild([simple_event("new0.pdf"), simple_event("new1.pdf")])
-        assert len(fsyncs) == 1
+        assert len(fsyncs) == 2  # one write of the store, then one of its index
         assert [e.id for e in rebuilt] == [1, 2]
         assert [a.id for e in rebuilt for a in e.attributes] == [1, 2]
         assert load_all(path) == rebuilt == store.events()
@@ -367,12 +394,13 @@ class TestAppend:
         with pytest.raises(OSError, match="disk full"):
             store.append(simple_event("r1.pdf"))
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, index_path(path).name]
         monkeypatch.undo()
         writes = []
-        monkeypatch.setattr(store_module, "atomic_write", lambda *args: writes.append(atomic_write(*args)))
+        monkeypatch.setattr(store_module, "atomic_write",
+                            lambda target, chunks: writes.append(target.name) or atomic_write(target, chunks))
         appended = store.append(simple_event("r2.pdf"))
-        assert appended.id == 2 and len(writes) == 1
+        assert appended.id == 2 and writes == [path.name, index_path(path).name]
         line = json.dumps(event_to_document(appended)) + "\n"
         assert path.read_bytes() == before + line.encode("utf-8")
         assert load_all(path) == store.events()
