@@ -9,13 +9,15 @@ write) are not committed: reading ignores them and the next commit removes
 them, so a committed event is stored whole or not at all.
 
 Each commit then writes the store's correlation index,
-``<store>.correlation.json``: the node table and the value holders of the
-events a read would give, so that ``correlate`` can build its graph without
-parsing the store. Its first line is a header: the format tag, the store's
-byte length, the ``blake2b`` digest of the store and that of the rest of the
-index, the body. A reader uses the index only while the header matches the
-store and the body, so an index that a failed or torn commit left behind is
-ignored, never repaired.
+``<store>.correlation.json``: the node table and the value holders, with
+back-links counted, of the events a read would give, so that ``correlate``
+can build its graph without parsing the store. Its first line is a header:
+the format tag, the store's byte length, the ``blake2b`` digest of the store
+and that of the rest of the index, the body. A reader uses the index only
+while the header matches the store and the body, so an index that a failed
+or torn commit left behind is ignored, never repaired. A store with a
+"comment" attribute that is not a back-link gets no index: the reader drops
+every "comment" row when back-links are not counted.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from _blake2 import blake2b
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .events import NAME_LIKE_TYPES, Event, document_to_event, event_to_document, value_holders
+from .events import NAME_LIKE_TYPES, Event, document_to_event, event_to_document, is_back_link, value_holders
 
 log = logging.getLogger(__name__)
 
@@ -109,7 +111,7 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
 
 # The first word of an index's header; a change of the body's layout changes it.
-INDEX_FORMAT = "ctipipe-correlation-index/1"
+INDEX_FORMAT = "ctipipe-correlation-index/2"
 
 
 def index_path(store_path: str | Path) -> Path:
@@ -120,7 +122,8 @@ class _IndexedLines:
     """A commit's store lines, made one event at a time as they are written,
     and what the index takes from them: their byte length and digest, and
     the node ``[id, kind, info]`` of each event a read of them gives, or
-    None once a read would refuse one."""
+    None once a read would refuse one or an event holds a "comment" that is
+    not its back-link."""
 
     def __init__(self):
         self.length = 0
@@ -134,6 +137,8 @@ class _IndexedLines:
             try:
                 stored = self._read(document)
             except ValueError:
+                stored = None
+            if stored is None or any(a.type == "comment" and not is_back_link(a) for a in stored.attributes):
                 self.nodes = None
             else:
                 self.nodes.append([stored.id, stored.kind, stored.info])
@@ -144,30 +149,15 @@ class _IndexedLines:
         return line
 
 
-def _index_rows(holders: dict[tuple[str, str], list[int]]) -> tuple[list[list], list[list]]:
-    """The rows of ``holders`` an index keeps, in order. A "comment" value,
-    the one type a back-link has, is kept when held twice, as ``[at, value,
-    ids]``, ``at`` being the number of other rows before it; a value of
-    another type when held twice or name-like, as ``[type, value, ids]``."""
-    rows: list[list] = []
-    comment_rows: list[list] = []
-    for (data_type, value), ids in holders.items():
-        if data_type == "comment":
-            if len(ids) > 1:
-                comment_rows.append([len(rows), value, ids])
-        elif len(ids) > 1 or data_type in NAME_LIKE_TYPES:
-            rows.append([data_type, value, ids])
-    return rows, comment_rows
-
-
 def _write_index(store_path: Path, written: _IndexedLines, events: list[Event]) -> None:
     """Write the index of the store ``written`` made of ``events``: the node
-    table, and :func:`value_holders` without and with back-links counted,
-    which differ in their "comment" rows only."""
-    rows, skipped = _index_rows(value_holders(((e.id, (e,)) for e in events), False))
-    _, counted = _index_rows(value_holders(((e.id, (e,)) for e in events), True))
-    body = json.dumps({"nodes": written.nodes, "holders": rows, "comment_holders": [skipped, counted]},
-                      separators=(",", ":"))
+    table, and the rows of :func:`value_holders`, back-links counted, that
+    the graph reads: each value held twice or name-like, as ``[type, value,
+    ids]``."""
+    holders = [[data_type, value, ids]
+               for (data_type, value), ids in value_holders(((e.id, (e,)) for e in events), True).items()
+               if len(ids) > 1 or data_type in NAME_LIKE_TYPES]
+    body = json.dumps({"nodes": written.nodes, "holders": holders}, separators=(",", ":"))
     body_digest = blake2b(body.encode("utf-8")).hexdigest()
     header = f"{INDEX_FORMAT} {written.length} {written.digest.hexdigest()} {body_digest}\n"
     try:
@@ -188,6 +178,9 @@ def read_correlation_index(
     try:
         with open(index_path(store_path), "rb") as handle:
             header = handle.readline()
+            # The tag and the length first: a store of another size is not read.
+            if not header.startswith(f"{INDEX_FORMAT} {store_path.stat().st_size} ".encode("utf-8")):
+                return None
             body = handle.read()
         store = store_path.read_bytes()
     except OSError:
@@ -198,12 +191,10 @@ def read_correlation_index(
         return None
     try:
         document = json.loads(body)
-        rows = [((data_type, value), ids) for data_type, value, ids in document["holders"]]
-        # Each "comment" row back in its place, the last first, so that the
-        # places before it still count the same rows.
-        for at, value, ids in reversed(document["comment_holders"][count_back_links]):
-            rows.insert(at, (("comment", value), ids))
-        return {node: (kind, info) for node, kind, info in document["nodes"]}, dict(rows)
+        # Every stored "comment" is a back-link, or the commit wrote no index.
+        holders = {(data_type, value): ids for data_type, value, ids in document["holders"]
+                   if count_back_links or data_type != "comment"}
+        return {node: (kind, info) for node, kind, info in document["nodes"]}, holders
     except (ValueError, KeyError, TypeError):  # a body of another layout under this tag
         return None
 
@@ -269,7 +260,8 @@ class EventStore:
     def rewrite(self, events: list[Event]) -> None:
         """Atomically replace the store content, keeping the given ids, then
         its correlation index; no index is written for content that a read
-        would refuse or find empty.
+        would refuse or find empty, or that holds a "comment" that is not a
+        back-link.
 
         Every commit goes through here: :meth:`append`, :meth:`extend`,
         :meth:`rebuild` and the filtering stage, which rewrites events rather

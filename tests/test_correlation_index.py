@@ -5,6 +5,7 @@ otherwise it parses the store, with the same output."""
 
 import datetime as dt
 import itertools
+import json
 import logging
 import shutil
 from hashlib import blake2b
@@ -17,7 +18,7 @@ import ctipipe.store as store_module
 import test_correlation
 from ctipipe.cli import run_command
 from ctipipe.correlation import CorrelationGraph, GraphOptions, build_graph, find_path
-from ctipipe.events import MALWARE, REPORT, Attribute, Event
+from ctipipe.events import MALWARE, REPORT, Attribute, Event, is_back_link
 from ctipipe.store import INDEX_FORMAT, CorruptStoreError, EventStore, index_path, load_all, read_correlation_index
 
 from conftest import GOLDEN_DIR, write_config
@@ -25,7 +26,7 @@ from test_events import _holder_attributes
 
 # Events whose "comment" values are back-links (category "Other") or plain
 # values, so that a value can be held both ways and counting back-links
-# moves it in the holder order.
+# moves it in the holder order. A store with a plain "comment" gets no index.
 _mixed_comment_events = st.lists(_holder_attributes, max_size=6).map(
     lambda drafts: [Event(0, dt.date(2020, 1, 1), f"e{i}", REPORT, attributes) for i, attributes in enumerate(drafts)]
 )
@@ -51,10 +52,12 @@ def test_index_graph_is_the_parsed_graph(tmp_path_factory, events, options):
     try:
         parsed = load_all(path)
     except CorruptStoreError:  # an event with two back-links
-        assert index is None
-        return
-    if not parsed:
-        assert index is None
+        parsed = []
+    # No index for a store a read refuses or finds empty, or that holds a
+    # "comment" that is not a back-link.
+    no_index = not parsed or any(a.type == "comment" and not is_back_link(a) for e in parsed for a in e.attributes)
+    assert (index is None) == no_index
+    if no_index:
         return
     graph = CorrelationGraph(*index, options)
     expected = build_graph(parsed, options)
@@ -65,11 +68,15 @@ def test_index_graph_is_the_parsed_graph(tmp_path_factory, events, options):
         assert find_path(graph, start, goal) == find_path(expected, start, goal), (start, goal)
 
 
+def golden_config(tmp_path):
+    return write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider",
+                        denylist=GOLDEN_DIR / "denylist.txt", retry_backoff=0)
+
+
 @pytest.fixture
 def config(tmp_path):
     """The golden corpus after ingest, enrich and filter."""
-    path = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider",
-                        denylist=GOLDEN_DIR / "denylist.txt", retry_backoff=0)
+    path = golden_config(tmp_path)
     for command in ("ingest", "enrich", "filter"):
         assert run_command(["-c", str(path), command]) == 0
     return path
@@ -113,11 +120,29 @@ def parsed_outputs(config, capsys):
             index.write_bytes(saved)
 
 
-def test_commits_write_the_index(config):
+def test_commits_write_the_index(tmp_path):
+    path = golden_config(tmp_path)
+    store = tmp_path / "events.jsonl"
+    for command in ("ingest", "enrich", "filter"):
+        assert run_command(["-c", str(path), command]) == 0
+        header = index_path(store).read_bytes().split(b"\n", 1)[0].split()
+        assert header[:2] == [INDEX_FORMAT.encode(), str(store.stat().st_size).encode()], command
+        assert read_correlation_index(store, True) is not None, command
+        assert read_correlation_index(store, False) is not None, command
+
+
+def test_a_commit_scans_the_holders_once(config, monkeypatch):
     store = config.parent / "events.jsonl"
-    header = index_path(store).read_bytes().split(b"\n", 1)[0].split()
-    assert header[:2] == [INDEX_FORMAT.encode(), str(store.stat().st_size).encode()]
-    assert read_correlation_index(store, True) is not None
+    calls = []
+    value_holders = store_module.value_holders
+
+    def counting_value_holders(*args):
+        calls.append(args)
+        return value_holders(*args)
+
+    monkeypatch.setattr(store_module, "value_holders", counting_value_holders)
+    EventStore(store).rewrite(EventStore(store).events())
+    assert len(calls) == 1
     assert read_correlation_index(store, False) is not None
 
 
@@ -157,6 +182,26 @@ def _header_only(index, store):
     index.write_bytes(index.read_bytes().split(b"\n", 1)[0] + b"\n")
 
 
+def _previous_layout(index, store):
+    # The body under the tag before this one, with a header that matches:
+    # "holders" without the "comment" rows, which are kept apart with their
+    # places, once per way of counting back-links. Read as the current
+    # layout, the graph would lose its back-link links.
+    document = json.loads(index.read_bytes().split(b"\n", 1)[1])
+    rows, counted = [], []
+    for data_type, value, ids in document["holders"]:
+        if data_type == "comment":
+            counted.append([len(rows), value, ids])
+        else:
+            rows.append([data_type, value, ids])
+    assert counted  # the golden store's back-links
+    body = json.dumps({"nodes": document["nodes"], "holders": rows, "comment_holders": [[], counted]},
+                      separators=(",", ":")).encode()
+    data = store.read_bytes()
+    header = f"ctipipe-correlation-index/1 {len(data)} {blake2b(data).hexdigest()} {blake2b(body).hexdigest()}\n"
+    index.write_bytes(header.encode() + body)
+
+
 def _other_layout(index, store):
     # A header that matches the store and the body, over a body this
     # reader cannot read.
@@ -166,7 +211,9 @@ def _other_layout(index, store):
     index.write_bytes(b" ".join(header) + b"\n" + body)
 
 
-@pytest.mark.parametrize("damage", [_stale, _truncated, _foreign_tag, _body_corrupted, _header_only, _other_layout])
+@pytest.mark.parametrize(
+    "damage", [_stale, _truncated, _foreign_tag, _previous_layout, _body_corrupted, _header_only, _other_layout]
+)
 def test_unmatched_index_falls_back_to_the_parse(config, capsys, damage):
     store = config.parent / "events.jsonl"
     index = index_path(store)
@@ -193,11 +240,23 @@ def test_empty_commit_writes_no_index(tmp_path):
     assert not index_path(store).exists()
 
 
-def test_torn_tail_falls_back_to_the_parse_with_its_warning(config, capsys, caplog):
+def test_torn_tail_falls_back_to_the_parse_with_its_warning(config, capsys, caplog, monkeypatch):
     store = config.parent / "events.jsonl"
     with open(store, "ab") as handle:
         handle.write(b'{"id": 99, "da')
-    assert read_correlation_index(store, True) is None
+    hashed = []
+
+    def recording_blake2b(*data):
+        hashed.extend(data)
+        return blake2b(*data)
+
+    # The header's length word differs from the store's size, so neither the
+    # store nor the body is hashed.
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "blake2b", recording_blake2b)
+        assert read_correlation_index(store, True) is None
+        assert read_correlation_index(store, False) is None
+    assert hashed == []
     with caplog.at_level(logging.WARNING, logger="ctipipe.store"):
         outputs = correlate_outputs(config, capsys)
     warnings = [r.getMessage() for r in caplog.records]
@@ -216,6 +275,17 @@ def test_rewrite_keeping_repeated_ids_writes_no_index(config, capsys):
     for _, code, out, err, _ in correlate_outputs(config, capsys):
         assert code == 2 and out == ""
         assert f"{store}:2: duplicate attribute id {first.attributes[0].id}" in err
+
+
+def test_plain_comment_writes_no_index(config, capsys):
+    # Events 7 to 9 hold "a" as a back-link and as a plain "comment" value.
+    store = config.parent / "events.jsonl"
+    index_path(store).unlink()
+    EventStore(store).extend(_MOVED)
+    assert not index_path(store).exists()
+    assert read_correlation_index(store, True) is None
+    assert read_correlation_index(store, False) is None
+    assert correlate_outputs(config, capsys) == parsed_outputs(config, capsys)
 
 
 def test_failed_index_write_keeps_the_commit(config, capsys, monkeypatch, caplog):
