@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -254,8 +255,16 @@ def _cmd_export(config: PipelineConfig, args) -> int:
     events = _open_store(config).events()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    written = set()
     for event in events:
-        (out / f"event_{event.id:05d}.json").write_text(event_to_json(event), encoding="utf-8")
+        written.add(name := f"event_{event.id:05d}.json")
+        (out / name).write_text(event_to_json(event), encoding="utf-8")
+    # The documents of events the store no longer holds; no other file.
+    for name in os.listdir(out):
+        digits = name[6:-5]
+        if (name not in written and digits.isascii() and digits.isdigit()
+                and name == f"event_{int(digits):05d}.json" and (out / name).is_file()):
+            (out / name).unlink()
     print(f"exported {len(events)} documents to {out}")
     return 0
 

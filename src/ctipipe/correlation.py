@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_string
 from math import comb
 from types import MappingProxyType
@@ -177,10 +178,10 @@ def _match_masks(x: str) -> dict[str, int]:
 
 
 def lcs_length(x: str, y: str) -> int:
-    """Longest common subsequence length, bit-parallel over the shorter string."""
+    """Longest common subsequence length: the shorter string in one :class:`_Lanes` lane."""
     if len(x) > len(y):
         x, y = y, x
-    return _packed_lcs(_pack([x]), y, 0, 1)[0]
+    return len(x) - _Lanes([x]).unmatched(y, -1)
 
 
 def lcs_ratio(x: str, y: str) -> float:
@@ -244,7 +245,8 @@ def _similar_values(owners: Mapping[tuple[str, str], Sequence[int]], threshold: 
     Equal values are exact matches and never pair here, so no event pair
     is linked both exactly and fuzzily through the same values. Values are grouped by
     canonical form, so each distinct canonical pair is scored once; values
-    sharing a canonical form score 1.0.
+    sharing a canonical form score 1.0. Each form is scored against the
+    longer ones its cut-off reaches with one pass per :class:`_Lanes` class.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be within (0, 1], got {threshold}")
@@ -258,7 +260,10 @@ def _similar_values(owners: Mapping[tuple[str, str], Sequence[int]], threshold: 
     similar = []
     for data_type, by_canonical in groups.items():
         names = sorted(by_canonical, key=len)
-        packed = _pack(names)
+        classes, first = [], 0
+        for _, same in groupby(names, _lane_width):
+            classes.append(_Lanes(list(same), first))
+            first += len(classes[-1].names)
         stop = 0
         for i, short in enumerate(names):
             group = by_canonical[short]
@@ -272,54 +277,92 @@ def _similar_values(owners: Mapping[tuple[str, str], Sequence[int]], threshold: 
             stop = max(stop, i + 1)
             while stop < len(names) and 2.0 * n / (n + len(names[stop])) >= threshold:
                 stop += 1
-            if stop == i + 1:
-                continue
-            for long, lcs in zip(names[i + 1:stop], _packed_lcs(packed, short, i + 1, stop)):
-                similarity = 2.0 * lcs / (n + len(long))
-                if similarity >= threshold:
-                    weight = round(similarity, 9)
+            for lanes in classes:
+                start, end = max(i + 1 - lanes.first, 0), min(stop - lanes.first, len(lanes.names))
+                if start >= end:
+                    continue
+                for long, lcs in lanes.passing(short, start, end, threshold):
+                    weight = round(2.0 * lcs / (n + len(long)), 9)
                     for value_l, ids_l in group:
                         for value_r, ids_r in by_canonical[long]:
                             similar.append(Link(FUZZY, data_type, value_l, ids_l, value_r, ids_r, weight))
     return similar
 
 
-def _pack(names: list[str]) -> tuple[list[int], dict[str, int], int]:
-    """``names`` laid out as the blocks of one int: block j holds name j's
-    bits from bit ``offsets[j]`` on, then one zero guard bit, so
-    ``offsets[j + 1]`` is ``offsets[j] + len(names[j]) + 1``. ``masks[c]``
-    sets the bits where a name holds ``c``, ``full`` every bit but the
-    guards."""
-    offsets, masks, full = [0], {}, 0
-    for name in names:
-        offset = offsets[-1]
-        for c, mask in _match_masks(name).items():
-            masks[c] = masks.get(c, 0) | mask << offset
-        full |= ((1 << len(name)) - 1) << offset
-        offsets.append(offset + len(name) + 1)
-    return offsets, masks, full
+def _lane_width(name: str) -> int:
+    """The least power of two, 8 or more, above the name's length."""
+    return max(8, 1 << len(name).bit_length())
 
 
-def _packed_lcs(packed: tuple[list[int], dict[str, int], int], text: str, start: int, stop: int) -> list[int]:
-    """The LCS length of ``text`` with each :func:`_pack` name from ``start``
-    to ``stop - 1``, from one bit-parallel scan of ``text`` over all their
-    blocks (Allison & Dix 1986; Hyyrö 2004; Hyyrö, Fredriksson & Navarro
-    2005): each character of ``text`` costs a few operations on one int
-    instead of a DP row per name.
+class _Lanes:
+    """Names of one :func:`_lane_width`, ``first`` on in their type's order,
+    in the bit fields, lanes, of one int: name k from bit ``k * width``,
+    below its lane's top bit. ``masks[c]`` sets the bits where a name holds
+    ``c``; ``lengths[m]`` bit 0 of each lane of a name of length m. The LCS
+    with every lane is one bit-parallel scan of a text (Allison & Dix 1986;
+    Hyyrö 2004; Hyyrö, Fredriksson & Navarro 2005), and the threshold test
+    of every lane a few whole-int operations, so passing lanes alone cost
+    Python work of their own."""
 
-    The blocks never mix: a block's sum carries at most into its guard bit,
-    which ``full`` clears, and ``v - u`` never borrows, as ``u`` is a
-    subset of ``v``. Block j's set bits are the unmatched ones."""
-    offsets, masks, full = packed
-    end = offsets[stop]
-    full &= (1 << end) - (1 << offsets[start])
-    v = full
-    for c in text:
-        u = v & masks.get(c, 0)
-        v = ((v + u) | (v - u)) & full
-    # Character p of this string is bit p of v.
-    bits = format(v, f"0{end}b")[::-1]
-    return [e - b - 1 - bits.count("1", b, e) for b, e in zip(offsets[start:stop], offsets[start + 1:stop + 1])]
+    def __init__(self, names: list[str], first: int = 0):
+        self.names, self.first = names, first
+        self.width = width = _lane_width(names[-1])
+        self.masks: dict[str, int] = {}
+        self.lengths: dict[int, int] = {}
+        for k, name in enumerate(names):
+            offset = k * width
+            for c, mask in _match_masks(name).items():
+                self.masks[c] = self.masks.get(c, 0) | mask << offset
+            self.lengths[len(name)] = self.lengths.get(len(name), 0) | 1 << offset
+        self.full = sum(((1 << m) - 1) * ones for m, ones in self.lengths.items())
+        every = (1 << len(names) * width) - 1
+        # Adding neighbouring fields of 1, 2, ..., width / 2 bits counts each lane's bits.
+        self.counters = [(shift, every // ((1 << 2 * shift) - 1) * ((1 << shift) - 1))
+                         for shift in (1 << j for j in range(width.bit_length() - 1))]
+        self.tops = every // ((1 << width) - 1) << (width - 1)
+        self._biases: dict[tuple[int, float], int] = {}
+
+    def unmatched(self, text: str, span: int) -> int:
+        """Each lane with a bit in ``span`` holding, in its low bits, how many
+        characters of its name an LCS with ``text`` leaves unmatched; other
+        lanes 0. Lanes never mix: a sum carries at most into a lane's top bit,
+        which ``full`` clears, ``v - u`` never borrows, as ``u`` is a subset
+        of ``v``, and each field of the count lies within one lane."""
+        full = v = self.full & span
+        masks = self.masks
+        for c in text:
+            u = v & masks.get(c, 0)
+            v = ((v + u) | (v - u)) & full
+        for shift, mask in self.counters:
+            v = (v & mask) + ((v >> shift) & mask)
+        return v
+
+    def passing(self, text: str, start: int, stop: int, threshold: float) -> Iterator[tuple[str, int]]:
+        """Each name of lanes ``start`` to ``stop - 1``, none shorter than
+        ``text``, whose LCS with it passes ``2.0 * lcs / (n + m) >=
+        threshold``, with that LCS, in lane order. A lane of the bias holds
+        2^(width - 1) plus m less the least passing LCS, so it keeps its top
+        bit after the subtraction of its count exactly when it passes."""
+        width, n = self.width, len(text)
+        bias = self._biases.get((n, threshold))
+        if bias is None:
+            # The least passing LCS, from just below its estimate, by the float test itself.
+            least = {m: next(lcs for lcs in range(max(int(threshold * (n + m) / 2) - 1, 0), m + 1)
+                             if 2.0 * lcs / (n + m) >= threshold) for m in self.lengths if m >= n}
+            bias = self._biases[n, threshold] = sum(
+                ((1 << (width - 1)) + m - least[m]) * self.lengths[m] for m in least)
+        span = (1 << stop * width) - (1 << start * width)
+        counts = self.unmatched(text, span)
+        passed = (bias - counts) & self.tops & span
+        if passed:
+            step, size = width // 8, stop * width // 8
+            flags = (passed >> (width - 1)).to_bytes(size, "little")
+            counted = counts.to_bytes(size, "little")
+            at = flags.find(1, start * step)
+            while at >= 0:
+                name = self.names[at // step]
+                yield name, len(name) - int.from_bytes(counted[at:at + step], "little")
+                at = flags.find(1, at + step)
 
 
 def build_graph(events: list[Event], options: GraphOptions | None = None) -> CorrelationGraph:

@@ -11,7 +11,6 @@ each set's closure is then replayed from the fetched records.
 from __future__ import annotations
 
 import datetime as dt
-import logging
 import time
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Mapping, NamedTuple, Sequence
@@ -19,8 +18,6 @@ from typing import AbstractSet, Callable, Mapping, NamedTuple, Sequence
 from .events import CATEGORY, HASH_TYPES, MALWARE, Attribute, Event
 from .extraction import classify_hash, is_valid_hash, is_valid_ip
 from .providers import AnalysisDataError, AnalysisProvider, ProviderError
-
-log = logging.getLogger(__name__)
 
 # The record fields a malware event's attributes come from, in their order,
 # with the type each one's values take; a hash field holds one value or None.
@@ -196,7 +193,8 @@ def _fetch_with_retry(
             return fetch_analysis(hash_value, provider)
         except ProviderError as exc:
             if attempt == retries:
-                log.warning("giving up on %s after %d retries: %s", hash_value, retries, exc)
+                import logging  # loaded only to warn
+                logging.getLogger(__name__).warning("giving up on %s after %d retries: %s", hash_value, retries, exc)
                 raise
             delay = max(backoff * 2**attempt, exc.retry_after or 0.0)
             if delay > 0:

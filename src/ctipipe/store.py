@@ -23,7 +23,6 @@ every "comment" row when back-links are not counted.
 from __future__ import annotations
 
 import json
-import logging
 import os
 
 # hashlib.blake2b itself: importing hashlib also starts its OpenSSL module,
@@ -33,8 +32,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .events import NAME_LIKE_TYPES, Event, document_to_event, event_to_document, is_back_link, value_holders
-
-log = logging.getLogger(__name__)
 
 
 class StoreError(Exception):
@@ -87,7 +84,8 @@ def _read_store(path: Path) -> list[Event]:
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             raise CorruptStoreError(path, line_number, str(exc)) from exc
     if tail.strip():
-        log.warning("%s: ignoring %d uncommitted trailing bytes", path, len(tail))
+        import logging  # loaded only to warn, so no command pays for it otherwise
+        logging.getLogger(__name__).warning("%s: ignoring %d uncommitted trailing bytes", path, len(tail))
     return events
 
 
@@ -164,7 +162,8 @@ def _write_index(store_path: Path, written: _IndexedLines, events: list[Event]) 
         atomic_write(index_path(store_path), [header, body])
     except OSError as exc:
         # The store is committed; correlate parses it while its index is stale.
-        log.warning("%s: correlation index not written: %s", store_path, exc)
+        import logging  # loaded only to warn
+        logging.getLogger(__name__).warning("%s: correlation index not written: %s", store_path, exc)
 
 
 def read_correlation_index(

@@ -2,9 +2,13 @@ import datetime as dt
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctipipe.analytics import (
     CategoryLabel,
+    _hex_windows,
+    _in_report,
     PipelineSummary,
     category_counts,
     category_percentages,
@@ -162,16 +166,37 @@ class TestCategoryPercentages:
                 lowered.append(self)
                 return str.lower(self)
 
-        malware_values = ["c2.evil.net", "b.example.com", "a" * 32, "b" * 40, "Marker"]
+        malware_values = ["c2.evil.net", "b.example.com", "a" * 32, "b" * 40, "Marker", "C" * 64]
         event_set = make_event_set("r.pdf", ["p"], malware_values)
-        text = CountingText("saw C2.EVIL.NET, a Marker and " + "A" * 32)
+        text = CountingText("saw C2.EVIL.NET, a Marker and " + "A" * 32 + " and " + "c" * 70)
         counts = category_counts([event_set], {"r.pdf": text})
         assert len(lowered) == 1
         expected = {label: 0 for label in CategoryLabel}
         for value in ["p", *malware_values]:
             expected[classify_category(value, {"p"}, set(malware_values), str(text))] += 1
         assert counts == expected
-        assert counts[CategoryLabel.MALWARE_IN_REPORT] == 3
+        assert counts[CategoryLabel.MALWARE_IN_REPORT] == 4
+
+    @given(st.lists(st.one_of(st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=80),
+                              st.text(alphabet=" xg-\u00e9.\n", min_size=1, max_size=3)), max_size=6),
+           st.data())
+    @settings(max_examples=300)
+    def test_hex_windows_match_substring_scan(self, pieces, data):
+        # Hex runs of any length, longer than 64 too, at the text's edges and
+        # in mixed case; the hashes are windows of the text or drawn apart.
+        text = "".join(pieces)
+        lowered = text.lower()
+        windows = _hex_windows(lowered)
+        hashes = data.draw(st.lists(st.sampled_from([32, 40, 64]).flatmap(
+            lambda length: st.text(alphabet="0123456789abcdefABCDEF", min_size=length, max_size=length)), max_size=4))
+        for start in data.draw(st.lists(st.integers(0, len(text)), max_size=4)):
+            for length in (32, 40, 64):
+                window = text[start:start + length]
+                hashes.append(window.swapcase() if data.draw(st.booleans()) else window)
+        for value in hashes:
+            if len(value) in (32, 40, 64) and all(c in "0123456789abcdefABCDEF" for c in value):
+                assert (value.lower() in windows) == _in_report(value, text, lowered), value
+        assert all(len(window) in (32, 40, 64) for window in windows)
 
     def test_missing_report_text_rejected(self):
         event_set = make_event_set("r.pdf", ["a"], ["b"])

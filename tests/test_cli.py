@@ -728,6 +728,44 @@ class TestExport:
         for path, event in zip(files, events):
             assert document_to_event(json.loads(path.read_text())) == event
 
+    @staticmethod
+    def shrunken_store(tmp_path):
+        """A golden store of 6 events exported into ``out``, then rebuilt by
+        ``ingest --force`` from one of its two reports: 1 event."""
+        reports = tmp_path / "reports"
+        shutil.copytree(GOLDEN_DIR / "reports", reports)
+        config = write_config(tmp_path, reports, provider=GOLDEN_DIR / "provider")
+        for command in ("ingest", "enrich"):
+            assert run(config, command) == 0
+        out = tmp_path / "out"
+        assert run(config, "export", "--out", str(out)) == 0
+        assert len(list(out.iterdir())) == 6
+        for path in reports.glob("Midwinter_Intrusion_Analysis.*"):
+            path.unlink()
+        assert run(config, "ingest", "--force") == 0
+        return config, out
+
+    def test_export_removes_documents_of_events_no_longer_stored(self, tmp_path):
+        config, out = self.shrunken_store(tmp_path)
+        assert run(config, "export", "--out", str(out)) == 0
+        [event] = load_all(tmp_path / "events.jsonl")
+        assert [path.name for path in out.iterdir()] == [f"event_{event.id:05d}.json"]
+        assert document_to_event(json.loads((out / f"event_{event.id:05d}.json").read_text())) == event
+
+    def test_export_leaves_foreign_files_alone(self, tmp_path):
+        config, out = self.shrunken_store(tmp_path)
+        # Names export never writes: not five or more ASCII digits, another
+        # suffix, a directory, or a nested file.
+        foreign = ["event_9.json", "event_0003.json", "event_00003.json.bak", "event_\u0663\u0663\u0663\u0663\u0663.json",
+                   "event_00003.JSON", "notes.txt", "event_00009.json/inner.json", "nested/event_00005.json"]
+        for name in foreign:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text("kept", encoding="utf-8")
+        assert run(config, "export", "--out", str(out)) == 0
+        assert sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file()) == sorted(
+            foreign + ["event_00001.json"])
+        assert all((out / name).read_text(encoding="utf-8") == "kept" for name in foreign)
+
     def test_export_keeps_store_untouched(self, golden_config, tmp_path):
         run(golden_config, "ingest")
         before = (tmp_path / "events.jsonl").read_bytes()

@@ -99,7 +99,7 @@ def pairwise_fuzzy_edges(events, threshold):
 
 def lcs_bits(masks, n, y):
     """LCS length of ``y`` and the length-``n`` string behind ``masks``, one
-    bit-parallel row per character of ``y``: the per-pair kernel the packed
+    bit-parallel row per character of ``y``: the per-pair kernel the lane
     scoring replaced."""
     full = (1 << n) - 1
     v = full
@@ -111,7 +111,7 @@ def lcs_bits(masks, n, y):
 
 def per_pair_similar_values(owners, threshold):
     """correlation._similar_values as it scored one canonical pair per
-    lcs_bits call: the oracle for the packed scoring, order included."""
+    lcs_bits call: the oracle for the lane scoring, order included."""
     groups = {}
     for (data_type, value), ids in owners.items():
         if data_type not in NAME_LIKE_TYPES:
@@ -457,6 +457,14 @@ class TestFuzzyEdges:
         assert pairs_exact and not pairs_exact & pairs_fuzzy
 
 
+def count_kernel_passes(monkeypatch):
+    """A list that grows by one on each bit-parallel pass of the lane kernel."""
+    passes = []
+    real = correlation._Lanes.unmatched
+    monkeypatch.setattr(correlation._Lanes, "unmatched", lambda *args: passes.append(1) or real(*args))
+    return passes
+
+
 class TestFuzzyScoredOnce:
     def test_links_and_edges_share_one_scoring(self, monkeypatch):
         import ctipipe.correlation as correlation
@@ -467,9 +475,7 @@ class TestFuzzyScoredOnce:
             event(event_id, [("hostname", base[:i] + rng.choice("aexz") + base[i + 1:] + ".com")])
             for event_id, (base, i) in enumerate(((rng.choice(bases), rng.randrange(10)) for _ in range(30)), 1)
         ]
-        passes = []
-        real = correlation._packed_lcs
-        monkeypatch.setattr(correlation, "_packed_lcs", lambda *args: passes.append(1) or real(*args))
+        passes = count_kernel_passes(monkeypatch)
         expected = fuzzy_edges(events, 0.8)
         scored = len(passes)
         assert scored > 0
@@ -481,7 +487,8 @@ class TestFuzzyScoredOnce:
         assert len(passes) == scored
 
 
-# Name lengths 0-70, so blocks straddle CPython's 30-bit int digits; ASCII,
+# Name lengths 0-70, so lanes straddle CPython's 30-bit int digits and fill
+# the width classes 8 to 128; ASCII,
 # non-ASCII and astral characters; a few stems with small edits, so pairs
 # reach the threshold; case and suffix variants, so canonical forms collide.
 _ALPHABET = "abcAB \u00e9\u0436\U0001f600"
@@ -503,15 +510,83 @@ def _owner_maps(draw):
     return owners
 
 
+# Lengths at the edges of the lane width classes 8, 16, 32, 64 and 128.
+WIDTH_EDGES = (0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 70)
+
+
+def lane_counts(lanes, counts):
+    """The count in each lane of :meth:`_Lanes.unmatched`'s result."""
+    width = lanes.width
+    return [counts >> k * width & (1 << width) - 1 for k in range(len(lanes.names))]
+
+
 class TestPackedScoring:
     @given(st.lists(st.text(alphabet=_ALPHABET, max_size=70), min_size=1, max_size=6),
            st.text(alphabet=_ALPHABET, max_size=70), st.data())
     @settings(max_examples=300)
     def test_each_block_is_its_lcs(self, names, text, data):
+        # Each lane of the kernel against the two-row DP.
+        names.sort(key=len)
         start = data.draw(st.integers(0, len(names) - 1))
         stop = data.draw(st.integers(start + 1, len(names)))
-        packed = correlation._pack(names)
-        assert correlation._packed_lcs(packed, text, start, stop) == [dp_lcs(text, name) for name in names[start:stop]]
+        lanes = correlation._Lanes(names)
+        width = lanes.width
+        counts = lane_counts(lanes, lanes.unmatched(text, (1 << stop * width) - (1 << start * width)))
+        assert counts == [len(name) - dp_lcs(text, name) if start <= k < stop else 0
+                          for k, name in enumerate(names)]
+
+    @given(st.lists(st.text(alphabet=_ALPHABET, max_size=70), min_size=1, max_size=6),
+           st.text(alphabet=_ALPHABET, min_size=1, max_size=70),
+           st.one_of(st.sampled_from([0.05, 0.5, 2 / 3, 0.8, 1.0]), st.floats(0.01, 1.0)), st.data())
+    @settings(max_examples=300)
+    def test_passing_lanes_are_the_float_test(self, names, text, threshold, data):
+        names = sorted(names + [text], key=len)
+        start = data.draw(st.integers(names.index(text), len(names) - 1))
+        stop = data.draw(st.integers(start + 1, len(names)))
+        n = len(text)
+        expected = [(name, dp_lcs(text, name)) for name in names[start:stop]]
+        expected = [(name, lcs) for name, lcs in expected if 2.0 * lcs / (n + len(name)) >= threshold]
+        assert list(correlation._Lanes(names).passing(text, start, stop, threshold)) == expected
+
+    @pytest.mark.parametrize("length", WIDTH_EDGES)
+    def test_width_class_edges(self, length):
+        rng = random.Random(length)
+        name = "".join(rng.choice("ab\u00e9\U0001f600") for _ in range(length))
+        width = correlation._lane_width(name)
+        assert width >= 8 and width > length and (width == 8 or width <= 2 * length)
+        for other_length in WIDTH_EDGES:
+            other = "".join(rng.choice("ab\u00e9\U0001f600") for _ in range(other_length))
+            assert lcs_length(name, other) == dp_lcs(name, other)
+            lanes = correlation._Lanes(sorted([name, other, name[::-1]], key=len))
+            assert lane_counts(lanes, lanes.unmatched(other, -1)) == [
+                len(lane) - dp_lcs(other, lane) for lane in lanes.names]
+
+    def test_counts_past_one_byte(self):
+        # Lanes of 512 bits, whose counts take two bytes.
+        names = ["a" * 20, "ab" * 150, "a" * 300]
+        lanes = correlation._Lanes(names)
+        assert lanes.width == 512
+        assert lane_counts(lanes, lanes.unmatched("b" * 20, -1)) == [20, 280, 300]
+        assert list(lanes.passing("a" * 20, 1, 3, 0.1)) == [("ab" * 150, 20), ("a" * 300, 20)]
+        assert list(lanes.passing("ab" * 10, 1, 3, 0.1)) == [("ab" * 150, 20)]
+        assert list(lanes.passing("a" * 20, 1, 3, 0.13)) == []
+
+    def test_width_classes_match_per_pair_oracle(self):
+        rng = random.Random(9)
+        base = "".join(rng.choice("ab\u00e9\u0436") for _ in range(70))
+        owners = {}
+        for event_id, length in enumerate(WIDTH_EDGES + (6, 9, 14, 17, 30, 33, 62, 65, 69), 1):
+            name = list(base[:length])
+            if name:
+                name[rng.randrange(length)] = rng.choice("ab\U0001f600")
+            owners[("other", "".join(name))] = (event_id,)
+        for threshold in (0.05, 0.5, 2 / 3, 0.8, 0.9, 1.0):
+            links = correlation._similar_values(owners, threshold)
+            assert links == per_pair_similar_values(owners, threshold)
+        # Pairs across each two neighbouring width classes pass.
+        widths = {tuple(map(correlation._lane_width, (link.value_left, link.value_right)))
+                  for link in correlation._similar_values(owners, 0.8)}
+        assert {(8, 16), (16, 32), (32, 64), (64, 128)} <= widths
 
     @given(_owner_maps(), st.one_of(st.sampled_from([0.05, 0.5, 2 / 3, 0.8, 1.0]), st.floats(0.01, 1.0)))
     @settings(max_examples=400)
@@ -532,9 +607,7 @@ class TestPackedScoring:
 
     def test_length_cut_off_drops_every_pair(self, monkeypatch):
         owners = {("other", "a"): (1,), ("other", "A "): (2,), ("other", "b" * 5): (3,), ("other", "a" * 70): (4,)}
-        passes = []
-        real = correlation._packed_lcs
-        monkeypatch.setattr(correlation, "_packed_lcs", lambda *args: passes.append(1) or real(*args))
+        passes = count_kernel_passes(monkeypatch)
         links = correlation._similar_values(owners, 0.9)
         assert links == per_pair_similar_values(owners, 0.9)
         assert links == [Link(FUZZY, "other", "a", (1,), "A ", (2,), 1.0)]

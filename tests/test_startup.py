@@ -75,7 +75,8 @@ def test_commands_load_the_indicator_patterns_only_where_they_extract(tmp_path):
     # Each command runs in a fresh interpreter on the store the one before
     # it left; only ingest, enrich and stats use the extraction patterns,
     # and only correlate the correlation module: a commit writes the
-    # correlation index without it.
+    # correlation index without it. No command but enrich, whose thread
+    # pool imports it, loads logging: it is imported only to warn.
     config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider")
     commands = [
         (["ingest"], True),
@@ -92,7 +93,23 @@ def test_commands_load_the_indicator_patterns_only_where_they_extract(tmp_path):
         assert sorted(loaded & DATACLASS_MACHINERY) == [], arguments
         assert ("ctipipe.extraction" in loaded) == extracts, arguments
         assert ("ctipipe.correlation" in loaded) == (arguments[0] == "correlate"), arguments
+        assert arguments[0] == "enrich" or "logging" not in loaded, arguments
     assert (tmp_path / "graph.json").is_file() and len(list((tmp_path / "export").iterdir())) == 6
+
+
+@pytest.mark.parametrize("arguments, code", [
+    (["correlate", "--path", "1", "2"], 0), (["correlate", "--path", "1", "9"], 2), (["enrich"], 0),
+])
+def test_torn_tail_warns_on_stderr_from_a_fresh_interpreter(tmp_path, capsys, arguments, code):
+    # No handler is configured, so logging's last resort prints the warning.
+    config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider")
+    assert run_command(["-c", str(config), "ingest"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "events.jsonl", "ab") as handle:
+        handle.write(b'{"id": 7, "date": "2015-')
+    result = run_python("-c", "from ctipipe.cli import main; main()", "-c", str(config), *arguments)
+    assert result.returncode == code, result.stderr
+    assert f"{tmp_path / 'events.jsonl'}: ignoring 24 uncommitted trailing bytes\n" in result.stderr
 
 
 def test_no_module_imports_dataclasses():

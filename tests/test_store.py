@@ -214,7 +214,7 @@ def offset_read_store(path):
             raise CorruptStoreError(path, line_number, str(exc)) from exc
         offset = newline + 1
     if blob[offset:].strip():
-        store_module.log.warning("%s: ignoring %d uncommitted trailing bytes", path, len(blob) - offset)
+        logging.getLogger("ctipipe.store").warning("%s: ignoring %d uncommitted trailing bytes", path, len(blob) - offset)
     return events
 
 
@@ -237,13 +237,13 @@ class TestReadStoreMatchesOffsetLoop:
         warnings = []
         handler = logging.Handler()
         handler.emit = lambda record: warnings.append(record.getMessage())
-        store_module.log.addHandler(handler)
+        logging.getLogger("ctipipe.store").addHandler(handler)
         try:
             return read(path), warnings
         except CorruptStoreError as exc:
             return (exc.line_number, str(exc)), warnings
         finally:
-            store_module.log.removeHandler(handler)
+            logging.getLogger("ctipipe.store").removeHandler(handler)
 
     @given(
         lines=st.lists(st.tuples(_PIECES | st.binary(max_size=6), st.sampled_from([b"\n", b"\r\n"])), max_size=8),
