@@ -152,7 +152,7 @@ def _cmd_enrich(config: PipelineConfig, args) -> int:
 
     # Sidecar first: the store's malware events mark the run as done, so a
     # failure before they are committed leaves a store enrich accepts again.
-    atomic_write(_sidecar_path(config), [json.dumps(result.to_document(), indent=2) + "\n"])
+    atomic_write(_sidecar_path(config), [result.to_json()])
     store.extend(malware)
     print(
         f"enriched {len(all_seeds)} extracted hashes: {len(result.records)} records, "
@@ -251,6 +251,19 @@ def _cmd_correlate(config: PipelineConfig, args) -> int:
     return 0
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Replace the content of ``path`` with ``data`` in place, as
+    ``open(path, "wb")`` would, a new file getting mode 0o666 less the
+    umask, without the file object: a plain write, not crash-safe."""
+    descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(descriptor, view):]
+    finally:
+        os.close(descriptor)
+
+
 def _cmd_export(config: PipelineConfig, args) -> int:
     events = _open_store(config).events()
     out = Path(args.out)
@@ -258,7 +271,7 @@ def _cmd_export(config: PipelineConfig, args) -> int:
     written = set()
     for event in events:
         written.add(name := f"event_{event.id:05d}.json")
-        (out / name).write_text(event_to_json(event), encoding="utf-8")
+        _write_file(os.path.join(out, name), event_to_json(event).encode("utf-8"))
     # The documents of events the store no longer holds; no other file.
     for name in os.listdir(out):
         digits = name[6:-5]

@@ -1,17 +1,19 @@
 """Collect malware-analysis records by hash and expand over dropped hashes.
 
 Expansion is breadth-first with a visited set, one level at a time: every
-fetch inside a level may run concurrently, but levels are merged in sorted
-hash order, so the result does not depend on completion order. A walk over
-the union of several seed sets fetches exactly what separate walks would (a
-hash's distance from the union is its smallest distance from any one set), so
-each set's closure is then replayed from the fetched records.
+fetch inside a level may run concurrently (with one worker they run inline),
+but levels are merged in sorted hash order, so the result does not depend on
+completion order. A walk over the union of several seed sets fetches exactly
+what separate walks would (a hash's distance from the union is its smallest
+distance from any one set), so each set's closure is then replayed from the
+fetched records.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import time
+from json.encoder import encode_basestring_ascii as _json_string
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Mapping, NamedTuple, Sequence
 
@@ -133,6 +135,24 @@ class AnalysisRecord(NamedTuple):
             document[name] = list(getattr(self, name))
         return document
 
+    def _to_json(self) -> str:
+        """The JSON of :meth:`to_document` as :meth:`EnrichmentResult.to_json`
+        nests it, one level into the records."""
+        timestamp = self.compile_timestamp.isoformat() if self.compile_timestamp else None
+        fields = [f'"{name}": {"null" if value is None else _json_string(value)}'
+                  for name, value in (("md5", self.md5), ("sha1", self.sha1), ("sha256", self.sha256),
+                                      ("compile_timestamp", timestamp))]
+        fields += [f'"{name}": {_json_strings(getattr(self, name), "      ")}' for name in _LIST_FIELDS]
+        return "{\n      " + ",\n      ".join(fields) + "\n    }"
+
+
+def _json_strings(values: Sequence[str], indent: str) -> str:
+    """``json.dumps(list(values), indent=2)`` for a list nested at ``indent``."""
+    if not values:
+        return "[]"
+    items = f",\n{indent}  ".join(map(_json_string, values))
+    return f"[\n{indent}  {items}\n{indent}]"
+
 
 class EnrichmentResult(NamedTuple):
     """Outcome of one transitive collection run."""
@@ -152,6 +172,15 @@ class EnrichmentResult(NamedTuple):
             "discovered": sorted(self.discovered),
             "query_count": self.query_count,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_document(), indent=2) + "\\n"``, the sidecar,
+        written directly: the standard encoder indents in pure Python."""
+        records = "".join(f",\n    {_json_string(h)}: {self.records[h]._to_json()}" for h in sorted(self.records))
+        records = f"{{{records[1:]}\n  }}" if records else "{}"
+        return (f'{{\n  "records": {records},\n  "missing": {_json_strings(sorted(self.missing), "  ")},'
+                f'\n  "discovered": {_json_strings(sorted(self.discovered), "  ")},'
+                f'\n  "query_count": {self.query_count}\n}}\n')
 
     @classmethod
     def from_document(cls, document: dict) -> "EnrichmentResult":
@@ -244,7 +273,8 @@ def enrich_transitively(
     seen beyond ``depth_limit`` are recorded as discovered but never queried,
     which bounds the walk even on adversarial (cyclic) analysis graphs. A
     fetch that still fails after ``retries`` retries raises its
-    :class:`ProviderError`.
+    :class:`ProviderError`, and no fetch queued behind it is made. With
+    ``max_workers`` 1 the fetches run inline, in frontier order.
     """
     if not seeds:
         raise ValueError("seed set must not be empty")
@@ -254,6 +284,12 @@ def enrich_transitively(
     for seed in seed_set:
         classify_hash(seed)
 
+    if max_workers == 1:
+        # A pool of one fetches nothing concurrently: it would only add
+        # thread hand-offs and its imports.
+        return _walk(seed_set, depth_limit,
+                     lambda frontier: {h: _fetch_with_retry(h, provider, retries, backoff) for h in frontier})
+
     # Imported here so that reading enrichment results (stats) does not load
     # the thread pool.
     from concurrent.futures import ThreadPoolExecutor
@@ -262,8 +298,14 @@ def enrich_transitively(
 
         def fetch_level(frontier: list[str]) -> dict[str, AnalysisRecord | None]:
             futures = {h: pool.submit(_fetch_with_retry, h, provider, retries, backoff) for h in frontier}
-            # Reading in frontier order keeps both the merge and error propagation deterministic.
-            return {h: future.result() for h, future in futures.items()}
+            try:
+                # Reading in frontier order keeps both the merge and error propagation deterministic.
+                return {h: future.result() for h, future in futures.items()}
+            except BaseException:
+                # The level's queued fetches are dropped; leaving the with
+                # block waits only for those already running.
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
 
         return _walk(seed_set, depth_limit, fetch_level)
 

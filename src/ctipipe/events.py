@@ -127,6 +127,19 @@ def event_to_document(event: Event) -> dict:
     }
 
 
+def event_to_line(event: Event) -> str:
+    """``json.dumps(event_to_document(event)) + "\\n"``, the event's store
+    line, written directly for events whose ids are ints and whose text
+    fields are strs: the standard encoder builds a dict per attribute."""
+    attributes = ", ".join([
+        f'{{"category": {_json_string(category)}, "comment": {_json_string(comment)}, '
+        f'"value": {_json_string(value)}, "type": {_json_string(type_token)}, "id": {attribute_id}}}'
+        for category, comment, value, type_token, attribute_id in event.attributes
+    ])
+    return (f'{{"id": {event.id}, "date": {_json_string(event.date.isoformat())}, '
+            f'"info": {_json_string(event.info)}, "Attribute": [{attributes}]}}\n')
+
+
 def event_to_json(event: Event) -> str:
     """``json.dumps(event_to_document(event), indent=2) + "\\n"``, written
     directly: the standard encoder indents in pure Python."""

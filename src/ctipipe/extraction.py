@@ -114,17 +114,33 @@ def normalize_defanged(raw: str, extra_table: Sequence[tuple[str, str]] | None =
     for _ in range(_MAX_DEFANG_PASSES):  # defensive cap; the built-in table converges in 2
         previous = text
         for pattern, replacement in table:
-            if pattern.lower() in _SCHEME_DEFANGS:
+            token = pattern.lower()
+            if token in _SCHEME_DEFANGS:
+                if text.isascii() and "\\" not in replacement:
+                    text = _replace_caseless(text, token, replacement)
                 # re.IGNORECASE matches a character to h, x, p or s only where
-                # it casefolds to that letter, so without the pattern in the
-                # casefolded text there is nothing to replace.
-                if pattern.lower() in text.casefold():
+                # it casefolds to that letter (the long s "ſ" does to s), so
+                # without the pattern in the casefolded text there is nothing
+                # to replace. A backslash makes the replacement a template.
+                elif token in text.casefold():
                     text = re.sub(re.escape(pattern), replacement, text, flags=re.IGNORECASE)
             else:
                 text = text.replace(pattern, replacement)
         if text == previous:
             break
     return text
+
+
+def _replace_caseless(text: str, token: str, replacement: str) -> str:
+    """``re.sub`` of the lowercase ``token``, case-insensitively, by the
+    literal ``replacement``, for an ASCII ``text``: there a character
+    matches a letter of the token caselessly exactly where its lowercase
+    form is that letter, so the matches are those in ``text.lower()``."""
+    pieces, at = [], 0
+    for part in text.lower().split(token):
+        pieces.append(text[at:at + len(part)])
+        at += len(part) + len(token)
+    return replacement.join(pieces)
 
 
 def classify_hash(value: str) -> IndicatorKind:

@@ -9,11 +9,13 @@ incidents. Flagging is advisory; removal is the operator's call.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from fnmatch import fnmatchcase
+from fnmatch import translate
+from functools import lru_cache
 from itertools import chain, combinations
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .config import ConfigError
 from .events import (
@@ -118,17 +120,33 @@ def _protected(event: Event, attribute) -> bool:
 def apply_denylist(event: Event, denylist: list[DenyRule]) -> Event:
     """Drop the unprotected attributes some rule matches: the rule is
     unscoped or scoped to the attribute's type, and its glob matches the
-    value, case-insensitively. Each pattern and each value is lowercased
-    once, not once per (attribute, rule) pair."""
-    rules = [(rule.type_scope, rule.pattern.lower()) for rule in denylist]
+    value, case-insensitively. The rules that apply to a type are matched
+    as one pattern, made once per denylist (see :func:`_denylist_matchers`),
+    and each value is lowercased once."""
+    matchers = _denylist_matchers(tuple(denylist))
+    unscoped = matchers.get(None)
     kept = []
     for a in event.attributes:
         if not _protected(event, a):
-            value = a.value.lower()
-            if any((scope is None or a.type == scope) and fnmatchcase(value, pattern) for scope, pattern in rules):
+            match = matchers.get(a.type, unscoped)
+            if match is not None and match(a.value.lower()):
                 continue
         kept.append(a)
     return event._replace(attributes=kept)
+
+
+@lru_cache(maxsize=8)
+def _denylist_matchers(denylist: tuple[DenyRule, ...]) -> dict[str | None, Callable]:
+    """The match function of one compiled pattern per type scope of
+    ``denylist``, and under None that of its unscoped rules: the alternation
+    of ``fnmatch.translate`` of each lowered glob that applies to the type,
+    each alternative anchored at the end, as ``fnmatchcase`` matches it."""
+    unscoped = [translate(rule.pattern.lower()) for rule in denylist if rule.type_scope is None]
+    patterns: dict[str | None, list[str]] = {None: unscoped} if unscoped else {}
+    for rule in denylist:
+        if rule.type_scope is not None:
+            patterns.setdefault(rule.type_scope, list(unscoped)).append(translate(rule.pattern.lower()))
+    return {scope: re.compile("|".join(globs)).match for scope, globs in patterns.items()}
 
 
 def drop_values(event: Event, values: set[str]) -> Event:

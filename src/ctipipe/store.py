@@ -4,7 +4,8 @@ New event and attribute ids continue from the largest ids in the store, so
 ids stay unique across process restarts. Opening a store only reads it; a
 store has a single writer, whose commits start from the state read at open.
 Every commit replaces the whole file through a temp file, so a failed
-commit leaves the store as it was. The bytes after the last newline (a torn
+commit leaves the store as it was; an event with a field that a read would
+refuse for its type fails the commit before anything is written. The bytes after the last newline (a torn
 write) are not committed: reading ignores them and the next commit removes
 them, so a committed event is stored whole or not at all.
 
@@ -22,16 +23,29 @@ every "comment" row when back-links are not counted.
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 import os
 
 # hashlib.blake2b itself: importing hashlib also starts its OpenSSL module,
 # about 3 ms, which every command that imports the store would pay.
 from _blake2 import blake2b
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .events import NAME_LIKE_TYPES, Event, document_to_event, event_to_document, is_back_link, value_holders
+from .events import (
+    _ATTRIBUTE_JSON_TYPES,
+    MALWARE,
+    NAME_LIKE_TYPES,
+    REPORT,
+    Attribute,
+    Event,
+    document_to_event,
+    event_to_line,
+    is_back_link,
+    value_holders,
+)
 
 
 class StoreError(Exception):
@@ -116,48 +130,105 @@ def index_path(store_path: str | Path) -> Path:
     return Path(f"{store_path}.correlation.json")
 
 
-class _IndexedLines:
-    """A commit's store lines, made one event at a time as they are written,
-    and what the index takes from them: their byte length and digest, and
-    the node ``[id, kind, info]`` of each event a read of them gives, or
-    None once a read would refuse one or an event holds a "comment" that is
-    not its back-link."""
+class _CheckedLines:
+    """A commit's store lines, made one event at a time, and what the index
+    takes from them: the node ``[id, kind, info]`` of each event a read of
+    them gives, or None once a read would refuse one or an event holds a
+    "comment" that is not its back-link.
+
+    The reader's rules are checked on the events themselves, not on the
+    lines read back: the date is written YYYY-MM-DD, no two events and no
+    two attributes share an id, and at most one attribute is a "comment",
+    a back-link, which makes a malware event. A field the reader would
+    refuse for its type raises :class:`StoreError` instead, so such a line
+    is never written: an id must be an int and not a bool, a text field a
+    str, as after a JSON round trip (an int subclass is written as an int).
+    """
 
     def __init__(self):
-        self.length = 0
-        self.digest = blake2b()
         self.nodes: list[list] | None = []
-        self._read = _document_reader()
+        self._event_ids: set[int] = set()
+        self._attribute_ids: set[int] = set()
 
     def line(self, event: Event) -> str:
-        document = event_to_document(event)
+        ids = list(map(_ID, event.attributes))
+        if type(event.id) is not int or not set(map(type, ids)) <= {int}:
+            event = _json_typed(event)
+            ids = list(map(_ID, event.attributes))
+        try:
+            line = event_to_line(event)
+        except TypeError:
+            _json_typed(event)  # names the text field that is not a str
+            raise
         if self.nodes is not None:
-            try:
-                stored = self._read(document)
-            except ValueError:
-                stored = None
-            if stored is None or any(a.type == "comment" and not is_back_link(a) for a in stored.attributes):
+            kind = _stored_kind(event)
+            before = len(self._attribute_ids)
+            self._attribute_ids.update(ids)
+            if (kind is None or event.id in self._event_ids or len(self._attribute_ids) != before + len(ids)
+                    or not _readable_date(event.date)):
                 self.nodes = None
             else:
-                self.nodes.append([stored.id, stored.kind, stored.info])
-        line = json.dumps(document) + "\n"
-        data = line.encode("utf-8")
-        self.length += len(data)
-        self.digest.update(data)
+                self._event_ids.add(event.id)
+                self.nodes.append([event.id, kind, event.info])
         return line
 
 
-def _write_index(store_path: Path, written: _IndexedLines, events: list[Event]) -> None:
-    """Write the index of the store ``written`` made of ``events``: the node
-    table, and the rows of :func:`value_holders`, back-links counted, that
-    the graph reads: each value held twice or name-like, as ``[type, value,
-    ids]``."""
+_ID = attrgetter("id")
+_TYPE = attrgetter("type")
+
+
+def _json_typed(event: Event) -> Event:
+    """``event`` with each id of an int subclass made an int, as a JSON
+    round trip makes it. A field a read would refuse for its type, an id
+    that is not an int (a bool included) or a text field that is not a
+    str, raises :class:`StoreError`."""
+    fields = [("'id'", event.id, int), ("'info'", event.info, str), ("'date'", event.date.isoformat(), str),
+              *((f"attribute {a.id!r}: {name!r}", value, kind)
+                for a in event.attributes for (name, kind), value in zip(_ATTRIBUTE_JSON_TYPES.items(), a))]
+    for name, value, kind in fields:
+        if type(value) is bool or not isinstance(value, kind):
+            raise StoreError(f"event {event.id!r}: {name} is {type(value).__name__}, not {kind.__name__}")
+    return event._replace(id=int(event.id), attributes=[a._replace(id=int(a.id)) for a in event.attributes])
+
+
+def _stored_kind(event: Event) -> str | None:
+    """The kind a read gives the event, from its back-links; None when it
+    holds two or more "comment" attributes (two back-links, which a read
+    refuses, or a plain "comment") or one that is not a back-link."""
+    types = list(map(_TYPE, event.attributes))
+    comments = types.count("comment")
+    if not comments:
+        return REPORT
+    if comments == 1 and is_back_link(event.attributes[types.index("comment")]):
+        return MALWARE
+    return None
+
+
+def _readable_date(date: dt.date) -> bool:
+    """Whether a read takes the date's text back (see
+    :func:`document_to_event`): ``date.isoformat()`` of a ``datetime``, for
+    one, is not written YYYY-MM-DD."""
+    if type(date) is dt.date:
+        return True
+    text = date.isoformat()
+    try:
+        dt.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return len(text) == 10 and text[7] == "-"
+
+
+def _write_index(store_path: Path, data: bytes, nodes: list[list], events: list[Event]) -> None:
+    """Write the index of the store ``data`` made of ``events``: their
+    ``nodes``, and the rows of :func:`value_holders`, back-links counted,
+    that the graph reads: each value held twice or name-like, as ``[type,
+    value, ids]``."""
     holders = [[data_type, value, ids]
                for (data_type, value), ids in value_holders(((e.id, (e,)) for e in events), True).items()
                if len(ids) > 1 or data_type in NAME_LIKE_TYPES]
-    body = json.dumps({"nodes": written.nodes, "holders": holders}, separators=(",", ":"))
+    body = json.dumps({"nodes": nodes, "holders": holders}, separators=(",", ":"))
     body_digest = blake2b(body.encode("utf-8")).hexdigest()
-    header = f"{INDEX_FORMAT} {written.length} {written.digest.hexdigest()} {body_digest}\n"
+    header = f"{INDEX_FORMAT} {len(data)} {blake2b(data).hexdigest()} {body_digest}\n"
     try:
         atomic_write(index_path(store_path), [header, body])
     except OSError as exc:
@@ -247,10 +318,10 @@ class EventStore:
         next_attribute_id = max((a.id for e in kept for a in e.attributes), default=0) + 1
         stored = []
         for event in events:
-            attributes = [
-                attribute._replace(id=next_attribute_id + offset)
-                for offset, attribute in enumerate(event.attributes)
-            ]
+            ids = range(next_attribute_id, next_attribute_id + len(event.attributes))
+            # tuple.__new__ is what Attribute._make does, without a Python-level call.
+            attributes = [tuple.__new__(Attribute, (category, comment, value, type_token, attribute_id))
+                          for (category, comment, value, type_token, _), attribute_id in zip(event.attributes, ids)]
             next_attribute_id += len(attributes)
             stored.append(event._replace(id=next_event_id, attributes=attributes))
             next_event_id += 1
@@ -260,15 +331,18 @@ class EventStore:
         """Atomically replace the store content, keeping the given ids, then
         its correlation index; no index is written for content that a read
         would refuse or find empty, or that holds a "comment" that is not a
-        back-link.
+        back-link. An event with a field a read would refuse for its type
+        raises :class:`StoreError`, and nothing is written.
 
         Every commit goes through here: :meth:`append`, :meth:`extend`,
         :meth:`rebuild` and the filtering stage, which rewrites events rather
         than adding new ones.
         """
+        checked = _CheckedLines()
+        # Every event is checked before anything is written.
+        text = "".join(map(checked.line, events))
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        written = _IndexedLines()
-        atomic_write(self.path, map(written.line, events))
+        atomic_write(self.path, [text])
         self._events = list(events)
-        if written.nodes:
-            _write_index(self.path, written, events)
+        if checked.nodes:
+            _write_index(self.path, text.encode("utf-8"), checked.nodes, events)

@@ -1,4 +1,6 @@
 import datetime as dt
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,10 +20,10 @@ from ctipipe.analytics import (
     type_year_counts,
 )
 from ctipipe.enrichment import EnrichmentResult
-from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT
+from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT, group_event_sets, is_back_link
 from ctipipe.store import load_all
 
-from conftest import CLEAVER_SHA1, DATA_DIR
+from conftest import CLEAVER_SHA1, DATA_DIR, write_config
 
 
 def naive_classify(value, parser_values, malware_values, report_text):
@@ -315,3 +317,66 @@ def test_compute_stat_tables_bundles_views():
     assert tables.summary.reports == 1
     assert tables.by_type_year.year_total(2014) == 8
     assert sum(tables.category_pct.values()) == 100
+
+
+def _md5(text):
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+SEED, DROPPED_EDGE, DROPPED_RUN, DROPPED_END, DROPPED_NEW, OTHER_SEED = map(
+    _md5, ["seed", "edge", "run", "end", "new", "other"])
+# Values that analysis alone yields, but that the report texts mention
+# where the parser does not take them: hashes in upper case inside longer
+# hex runs, one at each edge of a text; a filename and hostnames inside
+# defanged URLs and an e-mail address, behind "hxxp", "HxXp", "[.]" and
+# "[at]" (with the defanging left, the parser would take the hostnames
+# themselves); and a string the text holds in the same case.
+_IN_REPORT_TEXTS = {
+    "seeded": (
+        f"{DROPPED_EDGE.upper()}0 opens the dump. Sample {SEED} fetched HxXp://cdn[.]evil[.]example/dropper.bin"
+        f" and hxxp://Update[.]Evil[.]example/ before mailing ops[at]mail[.]evil[.]example; its memory held"
+        f" fff{DROPPED_RUN.upper()}ffff and it ended with 1{DROPPED_END}"
+    ),
+    "other": f"Sample {OTHER_SEED} wrote a log. hxxps://quiet[.]example/ {DROPPED_NEW[:31]}",
+}
+_IN_REPORT_ANALYSES = {
+    SEED: {"md5": SEED, "filenames": ["dropper.bin", "unseen.bin"],
+           "strings": ["cdn.evil.example", "update.evil.example", "mail.evil.example", "Evil"],
+           "dropped_hashes": [DROPPED_EDGE, DROPPED_RUN, DROPPED_END, DROPPED_NEW]},
+    DROPPED_RUN: {"md5": DROPPED_RUN, "dropped_hashes": [SEED]},
+    OTHER_SEED: {"md5": OTHER_SEED, "mutexes": ["Global\\quiet"]},
+}
+
+
+def test_stats_counts_analysis_values_the_reports_mention(tmp_path, capsys):
+    from ctipipe.cli import _normalized_report_texts, run_command
+    from ctipipe.config import load_config
+    from test_extraction import casefold_normalize_defanged
+
+    reports, provider = tmp_path / "reports", tmp_path / "analyses"
+    reports.mkdir()
+    provider.mkdir()
+    for day, (name, text) in enumerate(_IN_REPORT_TEXTS.items(), start=1):
+        (reports / f"{name}.txt").write_text(text, encoding="utf-8")
+        (reports / f"{name}.meta").write_text(f"title: {name}.pdf\ndate: 2020-01-0{day}\n", encoding="utf-8")
+    for hash_value, document in _IN_REPORT_ANALYSES.items():
+        (provider / f"{hash_value}.json").write_text(json.dumps(document), encoding="utf-8")
+    config = write_config(tmp_path, reports, provider=provider, retry_backoff=0)
+    for command in ("ingest", "enrich", "stats"):
+        assert run_command(["-c", str(config), command]) == 0
+    assert "malware_in_report 0%" not in capsys.readouterr().out
+
+    event_sets = group_event_sets(load_all(tmp_path / "events.jsonl"))
+    counts = category_counts(event_sets, _normalized_report_texts(load_config(config)))
+    texts = {f"{name}.pdf": casefold_normalize_defanged(text) for name, text in _IN_REPORT_TEXTS.items()}
+    expected = 0
+    for event_set in event_sets:
+        parser_values = {a.value for a in event_set.report_event.attributes}
+        malware_values = {a.value for e in event_set.malware_events for a in e.attributes if not is_back_link(a)}
+        expected += sum(
+            classify_category(value, parser_values, malware_values, texts[event_set.report_title])
+            is CategoryLabel.MALWARE_IN_REPORT
+            for value in malware_values - parser_values
+        )
+    # The three dropped hashes, dropper.bin, the three hostnames and "Evil".
+    assert counts[CategoryLabel.MALWARE_IN_REPORT] == expected == 8

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import logging
+import os
 import shutil
 import socket
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ctipipe.cli import run_command
-from ctipipe.events import MALWARE, REPORT, document_to_event
+from ctipipe.events import MALWARE, REPORT, document_to_event, event_to_json
 from ctipipe.providers import FixtureProvider
 from ctipipe.store import load_all
 
@@ -765,6 +766,31 @@ class TestExport:
         assert sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file()) == sorted(
             foreign + ["event_00001.json"])
         assert all((out / name).read_text(encoding="utf-8") == "kept" for name in foreign)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_documents_are_written_as_open_writes_them(self, golden_config, tmp_path, monkeypatch, umask):
+        # A new document gets open()'s mode, an existing one keeps its mode
+        # and is truncated, and a short os.write is continued.
+        run(golden_config, "ingest")
+        run(golden_config, "enrich")
+        out = tmp_path / "export"
+        out.mkdir()
+        (out / "event_00001.json").write_text("x" * 10_000)
+        os.chmod(out / "event_00001.json", 0o640)
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda descriptor, data: write(descriptor, data[:7]))
+        previous = os.umask(umask)
+        try:
+            assert run(golden_config, "export", "--out", str(out)) == 0
+            (tmp_path / "reference").write_text("")
+        finally:
+            os.umask(previous)
+        monkeypatch.undo()
+        modes = {path.name: path.stat().st_mode & 0o7777 for path in out.iterdir()}
+        assert modes.pop("event_00001.json") == 0o640
+        assert set(modes.values()) == {(tmp_path / "reference").stat().st_mode & 0o7777}
+        for event in load_all(tmp_path / "events.jsonl"):
+            assert (out / f"event_{event.id:05d}.json").read_text() == event_to_json(event)
 
     def test_export_keeps_store_untouched(self, golden_config, tmp_path):
         run(golden_config, "ingest")

@@ -18,8 +18,25 @@ import ctipipe.store as store_module
 import test_correlation
 from ctipipe.cli import run_command
 from ctipipe.correlation import CorrelationGraph, GraphOptions, build_graph, find_path
-from ctipipe.events import MALWARE, REPORT, Attribute, Event, is_back_link
-from ctipipe.store import INDEX_FORMAT, CorruptStoreError, EventStore, index_path, load_all, read_correlation_index
+from ctipipe.events import (
+    MALWARE,
+    NAME_LIKE_TYPES,
+    REPORT,
+    Attribute,
+    Event,
+    event_to_document,
+    is_back_link,
+    value_holders,
+)
+from ctipipe.store import (
+    INDEX_FORMAT,
+    CorruptStoreError,
+    EventStore,
+    StoreError,
+    index_path,
+    load_all,
+    read_correlation_index,
+)
 
 from conftest import GOLDEN_DIR, write_config
 from test_events import _holder_attributes
@@ -309,3 +326,126 @@ def test_failed_index_write_keeps_the_commit(config, capsys, monkeypatch, caplog
     assert index.read_bytes() == indexed
     assert read_correlation_index(store, True) is None
     assert correlate_outputs(config, capsys) == parsed_outputs(config, capsys)
+
+
+def read_back_commit(events):
+    """The store and index bytes of a commit of ``events`` as the commit
+    made them before it checked the events themselves: each line is
+    ``json.dumps`` of :func:`event_to_document`, and the index nodes come
+    from reading the lines back with the store's reader. The index is None
+    where that commit wrote none: the reader refused a line or found none,
+    or an event holds a "comment" that is not its back-link."""
+    read = store_module._document_reader()
+    lines, nodes = [], []
+    for event in events:
+        line = json.dumps(event_to_document(event)) + "\n"
+        lines.append(line)
+        if nodes is not None:
+            try:
+                stored = read(json.loads(line))
+            except ValueError:
+                nodes = None
+                continue
+            if any(a.type == "comment" and not is_back_link(a) for a in stored.attributes):
+                nodes = None
+            else:
+                nodes.append([stored.id, stored.kind, stored.info])
+    data = "".join(lines).encode("utf-8")
+    if not nodes:
+        return data, None
+    holders = [[data_type, value, ids]
+               for (data_type, value), ids in value_holders(((e.id, (e,)) for e in events), True).items()
+               if len(ids) > 1 or data_type in NAME_LIKE_TYPES]
+    body = json.dumps({"nodes": nodes, "holders": holders}, separators=(",", ":")).encode("utf-8")
+    header = f"{INDEX_FORMAT} {len(data)} {blake2b(data).hexdigest()} {blake2b(body).hexdigest()}\n"
+    return data, header.encode("utf-8") + body
+
+
+_ATTRIBUTE_FIELD_TYPES = {"category": str, "comment": str, "value": str, "type": str, "id": int}
+
+
+def wrongly_typed(event):
+    """Whether the store's reader refuses the event's line for a field's
+    type, judged on the JSON the line holds."""
+    document = json.loads(json.dumps(event_to_document(event)))
+    return (type(document["id"]) is not int or type(document["info"]) is not str
+            or any(type(item[key]) is not kind for item in document["Attribute"]
+                   for key, kind in _ATTRIBUTE_FIELD_TYPES.items()))
+
+
+class Text(str):
+    """A str subclass: its JSON is a string, read back as a str."""
+
+
+class Number(int):
+    """An int subclass: its JSON is an integer, read back as an int."""
+
+    def __repr__(self):
+        return f"Number({int(self)})"
+
+
+# Mostly well-typed fields, so that most stores are written. Few ids, so
+# that they repeat; "comment" under "Other" is a back-link, under another
+# category a plain value; a datetime's isoformat is not YYYY-MM-DD.
+_commit_ids = st.sampled_from([1, 1, 2, 3, 3, 4, Number(2), Number(5), True, 1.0])
+_commit_texts = st.sampled_from(["a", "b", "r.pdf", "é\ud800", Text("a"), Text("r.pdf"), None])
+_commit_events = st.lists(st.builds(
+    Event,
+    _commit_ids,
+    st.sampled_from([dt.date(2020, 1, 1), dt.date(1, 1, 1), dt.datetime(2020, 1, 1, 12, 0)]),
+    st.sampled_from(["r.pdf", "e", Text("e"), 7]),
+    st.sampled_from([REPORT, MALWARE]),
+    st.lists(st.builds(
+        Attribute,
+        st.sampled_from(["Other", "Other", "Artifacts dropped", Text("Other")]),
+        st.sampled_from(["", "", Text("")]),
+        _commit_texts,
+        st.sampled_from(["comment", "other", "other", "filename", "hostname", Text("comment")]),
+        _commit_ids,
+    ), max_size=4),
+), max_size=5)
+
+
+@given(_commit_events)
+@example([Event(1, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", "", "r.pdf", "comment")]),
+          Event(2, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", "", "r.pdf", "comment", 2),
+                                                     Attribute("Other", "", "r.pdf", "comment", 3)])])
+@example([Event(1, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", "", "a", "other", 1)]),
+          Event(1, dt.date(2020, 1, 1), "r.pdf", REPORT, [Attribute("Other", "", "a", "other", 2)])])
+@example([Event(Number(1), dt.date(2020, 1, 1), Text("e"), MALWARE,
+                [Attribute(Text("Other"), Text(""), Text("a"), Text("comment"), Number(1)),
+                 Attribute("Artifacts dropped", "", "a", "hostname", 2)])])
+@settings(max_examples=400)
+def test_commit_matches_the_read_back_writer(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("store") / "events.jsonl"
+    if any(map(wrongly_typed, events)):
+        with pytest.raises(StoreError, match=r" is \w+, not (int|str)$"):
+            EventStore(path).rewrite(events)
+        assert list(path.parent.iterdir()) == []
+        return
+    data, index = read_back_commit(events)
+    EventStore(path).rewrite(events)
+    assert path.read_bytes() == data
+    assert (index_path(path).read_bytes() if index_path(path).exists() else None) == index
+
+
+@pytest.mark.parametrize("event", [
+    Event(True, dt.date(2020, 1, 1), "e", REPORT, []),
+    Event(8.0, dt.date(2020, 1, 1), "e", REPORT, []),
+    Event(8, dt.date(2020, 1, 1), 7, REPORT, []),
+    Event(8, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", "", "a", "other", False)]),
+    Event(8, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", "", "a", "other", 99.0)]),
+    Event(8, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", "", None, "other", 99)]),
+    Event(8, dt.date(2020, 1, 1), "e", REPORT, [Attribute("Other", 0, "a", "other", 99)]),
+], ids=["bool-id", "float-id", "int-info", "bool-attribute-id", "float-attribute-id", "null-value", "int-comment"])
+def test_wrongly_typed_field_is_refused_before_anything_is_written(config, event):
+    # The JSON of each of these events is a line the reader refuses as
+    # malformed, so a commit that wrote it would leave a store no command
+    # reads.
+    store = config.parent / "events.jsonl"
+    before = {p.name: p.read_bytes() for p in config.parent.iterdir() if p.is_file()}
+    events = EventStore(store).events()
+    with pytest.raises(StoreError, match=r"^event \S+: .* is (bool|float|int|NoneType), not (int|str)$"):
+        EventStore(store).rewrite([*events, event])
+    assert {p.name: p.read_bytes() for p in config.parent.iterdir() if p.is_file()} == before
+    assert load_all(store) == events

@@ -95,6 +95,17 @@ class FlakyProvider(MappingProvider):
         return super().fetch(hash_value)
 
 
+class DownProvider:
+    """A provider whose every fetch fails, recording the hashes asked for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def fetch(self, hash_value):
+        self.calls.append(hash_value)
+        raise ProviderError("synthetic outage")
+
+
 class TestFetchAnalysis:
     def test_cleaver_record(self, golden_provider):
         record = fetch_analysis(CLEAVER_MD5, golden_provider)
@@ -238,6 +249,36 @@ class TestEnrichTransitively:
         assert provider.failures == 7
         assert any("giving up" in message for message in caplog.messages)
 
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_fetch_that_fails_for_good_stops_the_walk(self, caplog, max_workers):
+        # Once a level's result raises, its queued fetches are not made: at
+        # most the fetches already running finish, each with its retries.
+        seeds = {f"{i:032x}" for i in range(1, 41)}
+        provider = DownProvider()
+        retries = 1
+        with caplog.at_level(logging.WARNING, logger="ctipipe.enrichment"):
+            with pytest.raises(ProviderError, match="synthetic outage"):
+                enrich_transitively(seeds, provider, retries=retries, backoff=0.05, max_workers=max_workers)
+        assert len(provider.calls) <= (retries + 1) * 2 * max_workers
+        assert 1 <= sum("giving up" in message for message in caplog.messages) <= 2 * max_workers
+        if max_workers == 1:
+            assert provider.calls == [min(seeds)] * (retries + 1)
+
+    def test_inline_walk_is_the_pool_walk(self):
+        # One worker fetches inline; the result, and which hashes are
+        # fetched how often, are those of a walk through a pool.
+        rng = random.Random(27)
+        hashes = [f"{i:032x}" for i in range(1, 25)]
+        for _ in range(40):
+            documents = {h: record_doc(h, rng.sample(hashes, rng.randint(0, 3))) for h in hashes if rng.random() < 0.8}
+            seeds = set(rng.sample(hashes, rng.randint(1, 4)))
+            depth = rng.randint(1, 4)
+            inline, pooled = MappingProvider(documents), MappingProvider(documents)
+            result = enrich_transitively(seeds, inline, depth, backoff=0, max_workers=1)
+            assert result == enrich_transitively(seeds, pooled, depth, backoff=0, max_workers=3)
+            assert sorted(inline.calls) == sorted(pooled.calls)
+            assert len(inline.calls) == len(set(inline.calls)) == result.query_count
+
     def test_data_error_propagates(self):
         bad = record_doc(A)
         bad["contacted_ips"] = ["300.1.1.1"]
@@ -326,6 +367,42 @@ _records = st.builds(
     filenames=_values, contacted_ips=_values, contacted_urls=_values, pdb_paths=_values,
     code_sign_serials=_values, mutexes=_values, file_mappings=_values, strings=_values, dropped_hashes=st.just(()),
 )
+
+
+_json_texts = st.lists(
+    st.text(max_size=4)
+    | st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\x7f", "é", "\U0001f600", "\ud800", "a"])),
+    max_size=3,
+)
+_sidecar_records = st.builds(
+    AnalysisRecord, md5=_digest(32), sha1=_digest(40), sha256=_digest(64),
+    compile_timestamp=st.none() | st.datetimes(timezones=st.just(dt.timezone.utc)),
+    filenames=_json_texts, contacted_ips=_json_texts, contacted_urls=_json_texts, pdb_paths=_json_texts,
+    code_sign_serials=_json_texts, mutexes=_json_texts, file_mappings=_json_texts, strings=_json_texts,
+    dropped_hashes=_json_texts,
+)
+_results = st.builds(
+    EnrichmentResult,
+    st.dictionaries(st.text(max_size=6), _sidecar_records, max_size=4),
+    st.frozensets(st.text(max_size=6), max_size=3),
+    st.frozensets(st.text(max_size=6), max_size=3),
+    st.integers(0, 2**70),
+)
+
+
+class TestResultJson:
+    @given(_results)
+    def test_matches_standard_encoder(self, result):
+        assert result.to_json() == json.dumps(result.to_document(), indent=2) + "\n"
+
+    def test_empty_result(self):
+        assert EnrichmentResult().to_json() == (
+            '{\n  "records": {},\n  "missing": [],\n  "discovered": [],\n  "query_count": 0\n}\n'
+        )
+
+    def test_cleaver_record(self, cleaver_record):
+        result = EnrichmentResult({CLEAVER_MD5: cleaver_record}, {A}, {B}, 3)
+        assert result.to_json() == json.dumps(result.to_document(), indent=2) + "\n"
 
 
 class TestRecordToAttributes:

@@ -19,6 +19,7 @@ from ctipipe.events import (
     document_to_event,
     event_to_document,
     event_to_json,
+    event_to_line,
     group_event_sets,
     is_back_link,
     report_hashes,
@@ -287,6 +288,32 @@ class TestEventJson:
         for event_id in range(1, 60):
             event = random_event(rng, event_id)
             assert event_to_json(event) == dumped_event(event)
+
+
+def dumped_line(event):
+    """The store line as the standard encoder writes it."""
+    return json.dumps(event_to_document(event)) + "\n"
+
+
+class TestEventLine:
+    @given(_json_events)
+    @example(Event(0, dt.date(1, 1, 1), "", REPORT, []))
+    @example(Event(-(2**70), dt.date(9999, 12, 31), "\ud800\U0001f600\"\\", MALWARE,
+                   [Attribute("\udfff", "\x00\n", "é€", "\x7f", 2**70)]))
+    def test_matches_standard_encoder(self, event):
+        assert event_to_line(event) == dumped_line(event)
+
+    def test_zero_attribute_event(self):
+        event = Event(1, CLEAVER_DATE, "t.pdf", REPORT, [])
+        assert event_to_line(event) == dumped_line(event) == (
+            '{"id": 1, "date": "2014-12-03", "info": "t.pdf", "Attribute": []}\n'
+        )
+
+    def test_matches_standard_encoder_on_random_events(self):
+        rng = random.Random(20261020)
+        for event_id in range(1, 60):
+            event = random_event(rng, event_id)
+            assert event_to_line(event) == dumped_line(event)
 
 
 class TestReportHashes:

@@ -42,6 +42,24 @@ def old_normalize_defanged(raw, extra_table=None):
     return text
 
 
+def casefold_normalize_defanged(raw, extra_table=None):
+    """normalize_defanged before the ASCII splice: every scheme token goes
+    through re.sub, skipped where the casefolded text lacks it."""
+    table = list(DEFANG_TABLE) + [tuple(entry) for entry in (extra_table or ())]
+    text = raw
+    for _ in range(100):
+        previous = text
+        for pattern, replacement in table:
+            if pattern.lower() in {"hxxp", "hxxps"}:
+                if pattern.lower() in text.casefold():
+                    text = re.sub(re.escape(pattern), replacement, text, flags=re.IGNORECASE)
+            else:
+                text = text.replace(pattern, replacement)
+        if text == previous:
+            break
+    return text
+
+
 def old_gather_candidates(doc, extensions):
     ex = extraction
     candidates = []
@@ -487,6 +505,31 @@ class TestAgainstOracles:
     @example("h[x]xp://\u212a", [("[x]", "x"), ("HXXP", "http")])
     def test_normalize_matches_oracle(self, text, extra):
         assert normalize_defanged(text, extra) == old_normalize_defanged(text, extra)
+
+
+# Mostly ASCII, in mixed case, with nested tokens, the two non-ASCII
+# letters re.IGNORECASE matches to an ASCII one and "İ", whose lowercase
+# form is two characters long. The extra entries' replacements include
+# ones re.sub reads as templates; a scheme entry matches only a token that
+# an earlier entry of the same pass made, as "[x]" makes one of "h[x]xp".
+_SCHEME_TEXTS = st.lists(st.sampled_from([
+    "hxxp", "HXXP", "hXxPs", "HxXpS", "hxxhxxpp", "hxx", "Hx", "p", "s", "S", "[[dot]]", "[.]", "[[at]]",
+    "h[x]xp", "H[x]Xps", "[x]", "://", " ", "a", "\u017f", "\u212a", "\u00e9", "\u0130",
+]), max_size=12).map("".join)
+_SCHEME_ENTRIES = st.lists(st.tuples(
+    st.sampled_from(["HXXP", "hXxPs", "hxxps", "[x]", "[[.]]", "[dot"]),
+    st.sampled_from(["", "http", "HTTPS", ".", "h\\g<0>", "\\n", "a\\\\b", "x"]),
+), max_size=3)
+
+
+@given(_SCHEME_TEXTS, _SCHEME_ENTRIES)
+@settings(max_examples=600)
+@example("HxXpS://a[[dot]]b hXXp://\u212a", [])
+@example("h[x]xp://a", [("[x]", "x"), ("HXXP", "h\\g<0>")])
+@example("\u0130 h[x]xps://a", [("[x]", "x"), ("hXxPs", "")])
+@example("hXxPs://a", [("hXxPs", "\\n"), ("[dot", "")])
+def test_normalize_matches_the_casefold_checked_body(text, extra):
+    assert normalize_defanged(text, extra) == casefold_normalize_defanged(text, extra)
 
 
 _WINDOW_HEX_RUNS = st.sampled_from([31, 32, 33, 64]).flatmap(

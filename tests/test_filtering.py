@@ -3,7 +3,7 @@ import random
 from fnmatch import fnmatchcase
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctipipe.events import Attribute, Event, EventSet, HASH_TYPES, MALWARE, REPORT, is_back_link
@@ -184,10 +184,54 @@ _deny_rules = st.lists(
 )
 
 
+def per_rule_denylist(event, denylist):
+    """apply_denylist as it matched one fnmatchcase per attribute and rule,
+    with each pattern and value lowercased once: the oracle for one
+    compiled pattern per type scope."""
+    rules = [(rule.type_scope, rule.pattern.lower()) for rule in denylist]
+    kept = []
+    for a in event.attributes:
+        if not (a.type == "comment" or event.kind == MALWARE and a.type in HASH_TYPES):
+            value = a.value.lower()
+            if any((scope is None or a.type == scope) and fnmatchcase(value, pattern) for scope, pattern in rules):
+                continue
+        kept.append(a)
+    return event._replace(attributes=kept)
+
+
+# Globs with every fnmatch construct, ranges and negated sets included, and
+# values with the non-ASCII letters whose lowercase forms differ in length
+# or fold onto ASCII ones ("İ", the long s "ſ", the Kelvin sign "K").
+_glob_characters = st.sampled_from(list("aAbBsk.*?[]!-^\\") + ["[!", "[a-b]", "İ", "ſ", "K", "ß", "é"])
+_glob_events = st.builds(
+    lambda kind, attributes: Event(1, DATE, "r.pdf", kind, attributes),
+    st.sampled_from([REPORT, MALWARE]),
+    st.lists(st.builds(
+        Attribute,
+        st.just("Other"),
+        st.just(""),
+        st.lists(st.sampled_from(list("aAbBsSkK.*?[]!-^\\") + ["İ", "ſ", "K", "ß", "é"]), max_size=6).map("".join),
+        _deny_types,
+        st.just(0),
+    ), max_size=8),
+)
+_glob_rules = st.lists(
+    st.builds(DenyRule, st.lists(_glob_characters, min_size=1, max_size=5).map("".join), st.none() | _deny_types),
+    max_size=5,
+)
+
+
 class TestDenylist:
     @given(_deny_events, _deny_rules)
     def test_matches_pairwise_oracle(self, event, rules):
         assert apply_denylist(event, rules) == pairwise_denylist(event, rules)
+
+    @given(_glob_events, _glob_rules)
+    @example(Event(1, DATE, "r.pdf", REPORT, [Attribute("Other", "", "ſk", "other"),
+                                              Attribute("Other", "", "b]", "filename")]),
+             [DenyRule("[!a]K", "other"), DenyRule("[b]]"), DenyRule("s*", "filename")])
+    def test_matches_per_rule_oracle(self, event, rules):
+        assert apply_denylist(event, rules) == per_rule_denylist(event, rules)
 
     def test_literal_match_removed(self):
         event = Event(1, DATE, "r.pdf", REPORT, [

@@ -97,6 +97,18 @@ def test_commands_load_the_indicator_patterns_only_where_they_extract(tmp_path):
     assert (tmp_path / "graph.json").is_file() and len(list((tmp_path / "export").iterdir())) == 6
 
 
+def test_one_worker_enrich_loads_no_thread_pool(tmp_path, capsys):
+    # One worker fetches inline: no pool, so neither concurrent.futures nor
+    # the logging it imports.
+    config = write_config(tmp_path, GOLDEN_DIR / "reports", provider=GOLDEN_DIR / "provider", max_workers=1)
+    assert run_command(["-c", str(config), "ingest"]) == 0
+    capsys.readouterr()
+    code = "from ctipipe.cli import run_command; assert run_command(sys.argv[1:]) == 0"
+    loaded = loaded_modules(code, "-c", str(config), "enrich")
+    assert "ctipipe.enrichment" in loaded
+    assert sorted(name for name in loaded if name.startswith("concurrent") or name == "logging") == []
+
+
 @pytest.mark.parametrize("arguments, code", [
     (["correlate", "--path", "1", "2"], 0), (["correlate", "--path", "1", "9"], 2), (["enrich"], 0),
 ])
