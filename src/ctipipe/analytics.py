@@ -4,7 +4,7 @@ counts per data type and year, and the collection run summary."""
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .enrichment import EnrichmentResult
 from .events import (
@@ -16,7 +16,7 @@ from .events import (
     report_hashes,
     value_holders,
 )
-from .extraction import _HEX_MASK, _HEX_TRIGGER, is_valid_hash, looks_like_hostname
+from .extraction import _HEX_MASK, _HEX_TRIGGER, fits_in_runs, is_valid_hash, looks_like_hostname
 
 
 class CategoryLabel(Enum):
@@ -78,18 +78,30 @@ def _hex_windows(lowered_text: str) -> set[str]:
     return windows
 
 
+class ReportRuns(NamedTuple):
+    """A report's text as ``stats`` reads it: ``runs``, what
+    :func:`extraction.indicator_runs` returns for it, and ``whole``, which
+    builds its whole normalized text, for the values that do not
+    :func:`extraction.fits_in_runs`."""
+
+    runs: str
+    whole: Callable[[], str]
+
+
 def category_counts(
     event_sets: list[EventSet],
-    report_texts: dict[str, str],
+    report_texts: Mapping[str, str | ReportRuns],
 ) -> dict[CategoryLabel, int]:
     """Label every value of every event set, as :func:`classify_category`
-    does; counts are per (set, value)."""
+    does; counts are per (set, value). A report's text is its whole
+    normalized text or its :class:`ReportRuns`."""
     counts = {label: 0 for label in CategoryLabel}
     for event_set in event_sets:
         text = report_texts.get(event_set.report_title)
         if text is None:
             raise ValueError(f"no report text for {event_set.report_title!r}")
-        lowered = text.lower()
+        runs, whole = (text, None) if isinstance(text, str) else text
+        lowered = runs.lower()
         # Side 0 is the report event, side 1 the malware events.
         holders = value_holders(((0, [event_set.report_event]), (1, event_set.malware_events))).items()
         parser_values = {value for (_, value), sides in holders if sides[0] == 0}
@@ -101,7 +113,14 @@ def category_counts(
         hashes = {value for value in analysis_only if is_valid_hash(value)}
         windows = _hex_windows(lowered) if hashes else set()
         in_report = sum(value.lower() in windows for value in hashes)
-        in_report += sum(_in_report(value, text, lowered) for value in analysis_only - hashes)
+        fitting = {value for value in analysis_only - hashes if fits_in_runs(value)}
+        in_report += sum(_in_report(value, runs, lowered) for value in fitting)
+        others = analysis_only - hashes - fitting
+        if others:
+            if whole is not None:
+                text = whole()
+                lowered = text.lower()
+            in_report += sum(_in_report(value, text, lowered) for value in others)
         counts[CategoryLabel.MALWARE_IN_REPORT] += in_report
         counts[CategoryLabel.MALWARE_NEW] += len(analysis_only) - in_report
     return counts
@@ -124,7 +143,7 @@ def _largest_remainder_percentages(counts: dict[CategoryLabel, int]) -> dict[Cat
 
 def category_percentages(
     event_sets: list[EventSet],
-    report_texts: dict[str, str],
+    report_texts: Mapping[str, str | ReportRuns],
 ) -> dict[CategoryLabel, int]:
     if not event_sets:
         raise ValueError("dataset is empty")
@@ -294,7 +313,7 @@ class StatTables(NamedTuple):
 def compute_stat_tables(
     events: list[Event],
     enrichment: EnrichmentResult,
-    report_texts: dict[str, str],
+    report_texts: Mapping[str, str | ReportRuns],
 ) -> StatTables:
     event_sets = group_event_sets(events)
     return StatTables(

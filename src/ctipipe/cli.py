@@ -15,6 +15,7 @@ import datetime as dt
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -65,11 +66,9 @@ def _report_files(config: PipelineConfig) -> list[Path]:
     return sorted(config.reports_dir.glob("*.txt"))
 
 
-def _read_reports(text_paths: list[Path], config: PipelineConfig) -> Iterator[tuple[Path, dict[str, str], str]]:
-    """Each report's text file, metadata and text with defanging undone; a
-    report whose title an earlier one has is refused."""
-    from .extraction import normalize_defanged
-
+def _read_reports(text_paths: list[Path]) -> Iterator[tuple[Path, dict[str, str], str]]:
+    """Each report's text file, metadata and text as read; a report whose
+    title an earlier one has is refused."""
     titled: dict[str, Path] = {}  # title -> the .meta file that gave it
     for text_path in text_paths:
         meta_path = text_path.with_suffix(".meta")
@@ -77,11 +76,20 @@ def _read_reports(text_paths: list[Path], config: PipelineConfig) -> Iterator[tu
         if meta["title"] in titled:
             raise StoreError(f"{meta_path}: title {meta['title']!r} is already used by {titled[meta['title']]}")
         titled[meta["title"]] = meta_path
-        yield text_path, meta, normalize_defanged(text_path.read_text(encoding="utf-8"), config.defang_extra)
+        yield text_path, meta, text_path.read_text(encoding="utf-8")
 
 
-def _normalized_report_texts(config: PipelineConfig) -> dict[str, str]:
-    return {meta["title"]: normalized for _, meta, normalized in _read_reports(_report_files(config), config)}
+def _normalized_report_texts(config: PipelineConfig) -> dict:
+    """Each report's :class:`analytics.ReportRuns`, by title: the whole
+    normalized text is built only on demand."""
+    from .analytics import ReportRuns
+    from .extraction import indicator_runs, normalize_defanged
+
+    return {
+        meta["title"]: ReportRuns(indicator_runs(raw, config.defang_extra),
+                                  partial(normalize_defanged, raw, config.defang_extra))
+        for _, meta, raw in _read_reports(_report_files(config))
+    }
 
 
 def _sidecar_path(config: PipelineConfig) -> Path:
@@ -97,7 +105,7 @@ def _open_store(config: PipelineConfig) -> EventStore:
 
 
 def _cmd_ingest(config: PipelineConfig, args) -> int:
-    from .extraction import extract_indicators
+    from .extraction import extract_indicators, indicator_runs
 
     reports = _report_files(config)
     if not reports:
@@ -109,12 +117,12 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
         )
     events = []
     indicator_count = 0
-    for text_path, meta, normalized in _read_reports(reports, config):
+    for text_path, meta, raw in _read_reports(reports):
         try:
             publication_date = dt.date.fromisoformat(meta["date"])
         except ValueError as exc:
             raise StoreError(f"{text_path.with_suffix('.meta')}: {exc}") from exc
-        indicators = extract_indicators(normalized, text_path.name, config.extensions)
+        indicators = extract_indicators(indicator_runs(raw, config.defang_extra), text_path.name, config.extensions)
         events.append(build_report_event(meta["title"], publication_date, indicators))
         indicator_count += len(indicators)
     store.rebuild(events)

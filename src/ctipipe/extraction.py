@@ -2,8 +2,9 @@
 
 Reports conventionally defang indicators (hxxp, "[.]", "[at]") to keep them
 non-clickable; :func:`normalize_defanged` reverses that before the pattern
-grammar in :func:`extract_indicators` runs. The grammar is deliberately fixed
-so the same text always yields the same indicator list.
+grammar in :func:`extract_indicators` runs. :func:`indicator_runs` does so
+only in the parts of a report that can hold an indicator. The grammar is
+deliberately fixed so the same text always yields the same indicator list.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class IndicatorKind(str, Enum):
 
 
 class Indicator(NamedTuple):
-    """One extracted observable with its position in the normalized text."""
+    """One extracted observable with its position in the text it was
+    extracted from."""
 
     kind: IndicatorKind
     value: str
@@ -80,7 +82,10 @@ _HOSTNAME_RE = re.compile(
 _IP_RE = re.compile(r"(?<![0-9])(?<![0-9]\.)[0-9]{1,3}(?:\.[0-9]{1,3}){3}(?![0-9])(?!\.[0-9])")
 _CVE_RE = re.compile(r"\bCVE-[0-9]{4}-[0-9]{4,}\b")
 _REGISTRY_RE = re.compile(r"\b(?:HKLM|HKCU|HKCR|HKU|HKEY_[A-Za-z_]+)\\[^\s\"'<>|]+")
-_PDB_RE = re.compile(r"[^\s\"'<>|]+\.pdb\b", re.IGNORECASE)
+# Anchored at the start of a segment: a match from inside one would also be
+# one from its start, which the greedy repeat takes up to the last ".pdb",
+# so the lookbehind only spares the retries from every later position.
+_PDB_RE = re.compile(r"(?<![^\s\"'<>|])[^\s\"'<>|]+\.pdb\b", re.IGNORECASE)
 
 _TRAILING_PUNCT = ".,;:!?)]}\"'"
 
@@ -88,10 +93,12 @@ _TRAILING_PUNCT = ".,;:!?)]}\"'"
 # match holds a trigger: one of ". @ \ : -" followed by a non-whitespace
 # character, or 32 hex digits. So the patterns scan only the whitespace-
 # delimited runs that hold a trigger, through finditer's pos and endpos,
-# which keep offsets and lookbehinds on the whole text. The hex runs are
-# found in a mask of the text, one byte per character, 1 where it is a hex
-# digit: in a pattern, an alternation starting with [0-9A-Fa-f] would try a
-# match at every hex digit.
+# which keep offsets and lookbehinds on the whole text; or, where those runs
+# fill most of the text, as in what indicator_runs returns, the whole text
+# once, since each finditer call costs as much as scanning a few dozen
+# characters. The hex runs are found in a mask of the text, one byte per
+# character, 1 where it is a hex digit: in a pattern, an alternation
+# starting with [0-9A-Fa-f] would try a match at every hex digit.
 _TRIGGER_RE = re.compile(r"[.@\\:\-](?=\S)")
 _HEX_MASK = bytes(chr(byte) in "0123456789ABCDEFabcdef" for byte in range(256))
 _HEX_TRIGGER = b"\x01" * 32
@@ -129,6 +136,63 @@ def normalize_defanged(raw: str, extra_table: Sequence[tuple[str, str]] | None =
         if text == previous:
             break
     return text
+
+
+def indicator_runs(raw: str, extra_table: Sequence[tuple[str, str]] | None = None) -> str:
+    """:func:`normalize_defanged` of the whitespace-delimited runs of ``raw``
+    that can hold an indicator once defanging is undone, joined by single
+    spaces.
+
+    :func:`extract_indicators` finds in it the kinds and values, in this
+    order, that it finds in ``normalize_defanged(raw, extra_table)``, and
+    it holds every string that :func:`fits_in_runs` wherever that text
+    does. Under a table whose runs cannot be picked from ``raw``, it is that
+    whole text.
+    """
+    trigger = _raw_trigger(extra_table or ())
+    if trigger is None:
+        return normalize_defanged(raw, extra_table)
+    return normalize_defanged(" ".join(raw[start:end] for start, end in _windows(raw, trigger)), extra_table)
+
+
+def _raw_trigger(extra_table: Sequence[tuple[str, str]]) -> re.Pattern[str] | None:
+    """The trigger of the raw runs that :func:`indicator_runs` keeps under
+    the defang table with ``extra_table``; None where it must normalize the
+    whole text.
+
+    No pattern or replacement may hold whitespace, so that normalizing a
+    text normalizes each of its runs apart. Then a run changes only where a
+    scheme token becomes "http" or "https", which adds no trigger and no hex
+    digit, or where another pattern matches. One that holds a trigger
+    matches only in a run with one. For each other pattern, its first
+    character followed by any other is a trigger too, so such a pattern must
+    be two characters long. Where that character is one the scheme
+    replacements write (h, t, p or s), the pattern can match only after one
+    did, in a run that holds "h" or "H" before an "x". A scheme entry after
+    the built-in ones, whose replacement is free, finds only tokens that
+    another pattern made.
+    """
+    for pattern, replacement in extra_table:
+        if len(pattern) < 2 or any(map(str.isspace, pattern + replacement)):
+            return None
+    starts = {
+        pattern[0] for pattern, _ in (*DEFANG_TABLE, *extra_table)
+        if pattern.lower() not in _SCHEME_DEFANGS and _TRIGGER_RE.search(pattern) is None
+    }
+    if starts & set("htps"):
+        starts |= {"h", "H"}
+    return re.compile("[" + re.escape(".@\\:-" + "".join(sorted(starts))) + r"](?=\S)")
+
+
+def fits_in_runs(value: str) -> bool:
+    """Whether what :func:`indicator_runs` returns for a report holds
+    ``value``, and its lowercase form lowercased, wherever the report's whole
+    normalized text does: ``value`` holds no whitespace, so it lies inside
+    one run, and holds a trigger, so that run can hold an indicator."""
+    return value.split() == [value] and (
+        _TRIGGER_RE.search(value) is not None
+        or _HEX_TRIGGER in value.encode("ascii", "replace").translate(_HEX_MASK)
+    )
 
 
 def _replace_caseless(text: str, token: str, replacement: str) -> str:
@@ -193,18 +257,18 @@ class _Candidate(NamedTuple):
     value: str
 
 
-def _windows(doc: str) -> Iterator[tuple[int, int]]:
+def _windows(doc: str, trigger_re: re.Pattern[str] = _TRIGGER_RE) -> Iterator[tuple[int, int]]:
     """``(start, end)`` of each whitespace-delimited run of ``doc`` that holds
-    a trigger, in order."""
+    a match of ``trigger_re`` or 32 hex digits, in order."""
     # Non-ASCII characters encode as one "?" each, so offsets match.
     hex_mask = doc.encode("ascii", "replace").translate(_HEX_MASK)
     end = 0
-    punctuation = _TRIGGER_RE.search(doc)
+    punctuation = trigger_re.search(doc)
     while True:
         if punctuation is not None and punctuation.start() < end:
-            punctuation = _TRIGGER_RE.search(doc, end)
-        # A hex trigger that starts before the punctuation one, which is no
-        # hex digit, also ends before it.
+            punctuation = trigger_re.search(doc, end)
+        # A hex trigger that starts before the punctuation one ends before
+        # it, or holds it and so lies in its run.
         trigger = hex_mask.find(_HEX_TRIGGER, end, len(doc) if punctuation is None else punctuation.start())
         if trigger < 0:
             if punctuation is None:
@@ -227,8 +291,15 @@ def _gather_candidates(doc: str, extensions: Iterable[str]) -> list[_Candidate]:
         (IndicatorKind.FILENAME, _filename_pattern(extensions)),
         (IndicatorKind.HOSTNAME, _HOSTNAME_RE),
     )
-    candidates: list[_Candidate] = []
+    windows, covered = [], 0
     for start, end in _windows(doc):
+        windows.append((start, end))
+        covered += end - start
+        if 2 * covered >= len(doc):
+            windows = [(0, len(doc))]
+            break
+    candidates: list[_Candidate] = []
+    for start, end in windows:
         for match in _URL_RE.finditer(doc, start, end):
             value = match.group(0).rstrip(_TRAILING_PUNCT)
             host = value.split("://", 1)[-1]
@@ -264,7 +335,8 @@ def extract_indicators(
 ) -> list[Indicator]:
     """Return all non-overlapping indicators in ``doc``, sorted by position.
 
-    ``doc`` is expected to have passed through :func:`normalize_defanged`.
+    ``doc`` is expected to have passed through :func:`normalize_defanged`,
+    alone or in :func:`indicator_runs`.
     Overlaps resolve in favor of the wider span, then the more specific kind:
     a URL swallows its own hostname and any filename in its path, an email
     swallows its domain, and a hash run is claimed by exactly one hash kind.

@@ -380,3 +380,84 @@ def test_stats_counts_analysis_values_the_reports_mention(tmp_path, capsys):
         )
     # The three dropped hashes, dropper.bin, the three hostnames and "Evil".
     assert counts[CategoryLabel.MALWARE_IN_REPORT] == expected == 8
+
+
+DEFANGED_SEED, MIXED_CASE = map(_md5, ["defanged", "mixed"])
+# Analysis-only values that the report mentions defanged ("1[.]2[.]3[.]4"
+# inside a five-part number, "evil[dot]com" and "HXXP://" inside URLs the
+# parser takes whole), a hash in mixed case inside a 35-digit hex run, and
+# values that do not fit in the report's runs: two holding a space, one of
+# them with a trigger, and one with no trigger at all.
+_FALLBACK_TEXT = (
+    f"Sample {DEFANGED_SEED} beaconed to 1[.]2[.]3[.]4[.]5 and fetched hxxp://evil[dot]com/path/x, then "
+    f"HXXP://Cdn[.]Example[.]org/a/b/c. Memory held 0{MIXED_CASE[:16].upper()}{MIXED_CASE[16:]}ff. It printed "
+    f"the evil corp banner for x.y evil and a Marker."
+)
+_FALLBACK_ANALYSIS = {
+    "md5": DEFANGED_SEED,
+    "contacted_ips": ["1.2.3.4"],
+    "contacted_urls": ["http://Cdn.Example.org/a/b", "http://cdn.example.org/a/b"],
+    "strings": ["evil.com", "evil corp", "x.y evil", "Marker", "absent value", "Gone.com"],
+    "dropped_hashes": [MIXED_CASE],
+}
+
+
+def test_stats_counts_defanged_and_unfitting_values_as_the_whole_text_does(tmp_path):
+    from ctipipe.cli import _normalized_report_texts, run_command
+    from ctipipe.config import load_config
+    from test_extraction import casefold_normalize_defanged
+
+    reports, provider = tmp_path / "reports", tmp_path / "analyses"
+    reports.mkdir()
+    provider.mkdir()
+    (reports / "r.txt").write_text(_FALLBACK_TEXT, encoding="utf-8")
+    (reports / "r.meta").write_text("title: r.pdf\ndate: 2020-01-01\n", encoding="utf-8")
+    (provider / f"{DEFANGED_SEED}.json").write_text(json.dumps(_FALLBACK_ANALYSIS), encoding="utf-8")
+    config = write_config(tmp_path, reports, provider=provider, retry_backoff=0)
+    for command in ("ingest", "enrich"):
+        assert run_command(["-c", str(config), command]) == 0
+
+    event_sets = group_event_sets(load_all(tmp_path / "events.jsonl"))
+    counts = category_counts(event_sets, _normalized_report_texts(load_config(config)))
+    whole = casefold_normalize_defanged(_FALLBACK_TEXT)
+    expected = {label: 0 for label in CategoryLabel}
+    (event_set,) = event_sets
+    parser_values = {a.value for a in event_set.report_event.attributes}
+    malware_values = {a.value for e in event_set.malware_events for a in e.attributes if not is_back_link(a)}
+    for value in parser_values | malware_values:
+        expected[classify_category(value, parser_values, malware_values, whole)] += 1
+    assert counts == expected
+    # 1.2.3.4, evil.com, the capitalized URL, the hash, "evil corp",
+    # "x.y evil" and "Marker"; not the lowercase URL, "absent value" or
+    # "Gone.com".
+    assert counts[CategoryLabel.MALWARE_IN_REPORT] == 7
+    assert counts[CategoryLabel.MALWARE_NEW] == 3
+
+
+_COUNT_PIECES = st.sampled_from([
+    " ", "\n", "\u00a0", "\u3000", "a", "b", "Ev", "[.]", "[dot]", "hXxP://", ".", "-", "@", ":", "\u00e9",
+    "c" * 32, "D" * 40, "e" * 33,
+])
+
+
+@given(st.lists(_COUNT_PIECES, max_size=25).map("".join), st.lists(st.tuples(st.integers(0, 120), st.integers(1, 45)),
+                                                                   max_size=8), st.lists(st.booleans(), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_report_runs_count_as_the_whole_text(raw, slices, swaps):
+    # Analysis values cut from the normalized text, some with their case
+    # swapped, counted through ReportRuns and through the whole text.
+    from ctipipe.analytics import ReportRuns
+    from ctipipe.extraction import indicator_runs, normalize_defanged
+
+    whole = normalize_defanged(raw)
+    values = set()
+    for (start, length), swap in zip(slices, swaps + [False] * len(slices)):
+        value = whole[start:start + length]
+        values.add(value.swapcase() if swap else value)
+    malware_values = sorted(values - {""})
+    event_set = make_event_set("r.pdf", ["p"], malware_values)
+    expected = {label: 0 for label in CategoryLabel}
+    for value in {"p", *malware_values}:
+        expected[classify_category(value, {"p"}, set(malware_values), whole)] += 1
+    runs = ReportRuns(indicator_runs(raw), lambda: normalize_defanged(raw))
+    assert category_counts([event_set], {"r.pdf": runs}) == expected

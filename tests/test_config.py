@@ -121,6 +121,29 @@ class TestKeyValueFormat:
         with pytest.raises(ConfigError, match="defang"):
             load_config(write(tmp_path, BASE + "defang.x = longer\n"))
 
+    @pytest.mark.parametrize("line, builtin", [
+        ("defang.hxxp = qq", "hxxp"),
+        ("defang.HXXPS = x", "hxxps"),
+        ("defang.hXxP = http", "hxxp"),
+        ("defang.[.] = ,", "[.]"),
+        ("defang.[dot] = .", "[dot]"),
+        ("defang.[@] = @", "[@]"),
+    ])
+    def test_builtin_defang_pattern_rejected(self, tmp_path, line, builtin):
+        # The built-in entry runs first in every pass, so such an entry
+        # would only fire on a token nested in another: "hxxp" would still
+        # become "http", and "[.] = ," would turn only "a[[.]]b" into "a,b".
+        path = write(tmp_path, BASE + line + "\n")
+        pattern = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=rf"^{re.escape(pattern)}: .*built-in .*{re.escape(repr(builtin))}"):
+            load_config(path)
+        assert run_command(["-c", str(path), "ingest"]) == 1
+
+    @pytest.mark.parametrize("pattern", ["[DOT]", "(at)", "hxxp:", "[[.]]", "xx"])
+    def test_defang_pattern_near_a_builtin_accepted(self, tmp_path, pattern):
+        config = load_config(write(tmp_path, BASE + f"defang.{pattern} = .\n"))
+        assert config.defang_extra == ((pattern, "."),)
+
     def test_line_without_equals_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="key = value"):
             load_config(write(tmp_path, BASE + "just words\n"))
@@ -178,6 +201,11 @@ class TestJsonFormat:
         assert config.extensions == frozenset({"exe", "dll"})
         assert config.defang_extra == (("[:]", ":"),)
         assert config.depth_limit == 3
+
+    def test_builtin_defang_pattern_rejected(self, tmp_path):
+        document = {"reports_dir": "r", "store_path": "s.jsonl", "defang": {"[:]": ":", "(.)": "."}}
+        with pytest.raises(ConfigError, match=re.escape("defang.(.): ")):
+            load_config(write(tmp_path, json.dumps(document)))
 
     def test_extension_with_whitespace_rejected(self, tmp_path):
         document = {"reports_dir": "r", "store_path": "s.jsonl", "extensions": ["exe", "tar\tgz"]}

@@ -592,3 +592,99 @@ def test_patterns_scan_only_trigger_windows(monkeypatch):
     assert len(scanned) == 9
     for name, total in scanned.items():
         assert total <= budget, name
+
+
+# Pieces for the run path: ASCII runs among non-ASCII text and non-ASCII
+# whitespace, nested and split defang tokens, scheme tokens in mixed case,
+# and hex runs of lengths on both sides of each hash length.
+_RUN_PIECES = st.sampled_from([
+    " ", "\n", "\t", "\u00a0", "\u2028", "\u3000", "\x1c", "\u00e9t\u00e9", "\u65e5\u672c", "\u0130", "\u017f",
+    "\u212a", "\u0663", "[", "]", "[.]", "[[.]]", "[dot]", "[[dot]]", "[at]", "[@]", "(.)", "{.}", "dot", "at",
+    "hxxp", "HXXP", "hXxPs", "HxXpS", "h[x]xp", "hxx", "x", "p", "://", "/", ".", "@", "-", ":", "\\", ",",
+    "evil", "com", "mail", "a-b", "1.2.3.4", "10", "CVE-2017-0144", ".pdb", ".exe", "HKLM\\", "zz", "tp",
+])
+_RUN_HEX = st.sampled_from([31, 32, 33, 40, 64, 65]).flatmap(
+    lambda n: st.text(alphabet="0123456789abcdefABCDEF", min_size=n, max_size=n)
+)
+_RUN_TEXTS = st.lists(st.one_of(_RUN_PIECES, _RUN_PIECES, _RUN_HEX), max_size=30).map("".join)
+# Extra entries with empty replacements and backslash templates; the ones
+# holding whitespace or of one character take the whole-text path. "tpzz"
+# can match only after "hxxp" became "http"; "HXXP" only after "[x]" made
+# a token of "h[x]xp", and its replacement "h\\g<0>" is a template.
+_RUN_ENTRIES = st.tuples(
+    st.sampled_from(["[x]", "(dot)", "[:]", "xx", "[-]", "tpzz", "zz", "x", "\u2022", "[ dot ]", "x y", "HXXP",
+                     "[\\]"]),
+    st.sampled_from(["", ".", ":", "a", "-", " ", "tp.c", "\\n", "a\\\\b", "h\\g<0>"]),
+).filter(lambda entry: len(entry[1]) <= len(entry[0]))
+
+
+def _kinds_and_values(indicators):
+    return [(indicator.kind, indicator.value) for indicator in indicators]
+
+
+class TestIndicatorRuns:
+    @given(_RUN_TEXTS, st.lists(_RUN_ENTRIES, max_size=3), st.sampled_from([None, frozenset({"exe", "x"})]))
+    @settings(max_examples=500, deadline=None)
+    @example("evil[dot]com", [], None)
+    @example("a.com b.net", [], None)
+    @example("x[ dot ]com", [("[ dot ]", ".")], None)
+    @example("a" * 31 + "x", [("x", "a")], None)
+    @example("evilhxxpzzom", [("tpzz", "tp.c")], None)
+    @example("HxXpS://Evil[.]com\u3000" + "F" * 32 + "[.]x \u00a0ab[[dot]]cd", [], None)
+    def test_extracts_what_the_whole_text_gives(self, text, extra, extensions):
+        runs = extraction.indicator_runs(text, extra)
+        whole = normalize_defanged(text, extra)
+        assert _kinds_and_values(extract_indicators(runs, "r", extensions)) == _kinds_and_values(
+            extract_indicators(whole, "r", extensions))
+
+    @given(_RUN_TEXTS, st.lists(_RUN_ENTRIES, max_size=2), st.lists(st.tuples(
+        st.booleans(), st.integers(0, 200), st.integers(1, 12)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example("x.y evil a.com b", [], [(True, 0, 8), (False, 0, 8), (False, 6, 9)])
+    def test_holds_what_the_whole_text_holds(self, text, extra, slices):
+        # Values cut from either text, so that ones spanning two runs occur.
+        runs = extraction.indicator_runs(text, extra)
+        whole = normalize_defanged(text, extra)
+        for from_runs, start, length in slices:
+            value = (runs if from_runs else whole)[start:start + length]
+            if extraction.fits_in_runs(value):
+                assert (value in runs) == (value in whole), value
+                assert (value.lower() in runs.lower()) == (value.lower() in whole.lower()), value
+
+    @pytest.mark.parametrize("path", sorted((GOLDEN_DIR / "reports").glob("*.txt")) + sorted(
+        (LAZARUS_DIR / "reports").glob("*.txt")), ids=lambda path: path.name)
+    def test_corpus_reports(self, path):
+        raw = path.read_text(encoding="utf-8")
+        assert _kinds_and_values(extract_indicators(extraction.indicator_runs(raw), path.name)) == _kinds_and_values(
+            extract_indicators(normalize_defanged(raw), path.name))
+
+    def test_builtin_table_adds_one_trigger(self):
+        # "[dot]" and "[at]" are the built-in patterns that hold no trigger.
+        assert extraction._raw_trigger(()).pattern == r"[\.@\\:\-\[](?=\S)"
+
+    def test_values_that_fit(self):
+        assert extraction.fits_in_runs("evil.com")
+        assert extraction.fits_in_runs("A" * 32)
+        assert not extraction.fits_in_runs("a.b c")
+        assert not extraction.fits_in_runs("Marker")
+        assert not extraction.fits_in_runs("end.")
+        assert not extraction.fits_in_runs("")
+
+
+# The pdb pattern before its start was anchored at a segment's start.
+_OLD_PDB_RE = re.compile(r"[^\s\"'<>|]+\.pdb\b", re.IGNORECASE)
+
+
+@given(st.lists(st.sampled_from([*"ab.pdbPDB\\:/ \n\"'<>|_-\u00e9\u00a0", ".pdb", ".PDB"]), max_size=40).map("".join))
+@settings(max_examples=400, deadline=None)
+@example("a.pdb.pdb x.pdbq.pdb")
+@example("a|b.pdb c\"d.pdb-e.pdb")
+def test_anchored_pdb_pattern_matches_the_unanchored_one(text):
+    assert [m.span() for m in extraction._PDB_RE.finditer(text)] == [m.span() for m in _OLD_PDB_RE.finditer(text)]
+    # A match starts only where a segment does; there, it is the old one.
+    for at in range(len(text) + 1):
+        match, old = extraction._PDB_RE.match(text, at), _OLD_PDB_RE.match(text, at)
+        if at and re.match(r"[^\s\"'<>|]", text[at - 1]):
+            assert match is None
+        else:
+            assert (match and match.span()) == (old and old.span())
