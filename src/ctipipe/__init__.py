@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # The module that defines each exported name.
 _EXPORTS = {
     "analytics": (
-        "CategoryLabel", "PipelineSummary", "StatTables", "TypeYearCounts", "category_percentages",
+        "CategoryLabel", "PipelineSummary", "ReportRuns", "StatTables", "TypeYearCounts", "category_percentages",
         "classify_category", "pipeline_summary", "type_year_counts",
     ),
     "config": ("ConfigError", "PipelineConfig", "load_config"),

@@ -82,26 +82,26 @@ class ReportRuns(NamedTuple):
     """A report's text as ``stats`` reads it: ``runs``, what
     :func:`extraction.indicator_runs` returns for it, and ``whole``, which
     builds its whole normalized text, for the values that do not
-    :func:`extraction.fits_in_runs`."""
+    :func:`extraction.fits_in_runs`. Without ``whole``, ``runs`` is the
+    whole normalized text."""
 
     runs: str
-    whole: Callable[[], str]
+    whole: Callable[[], str] | None = None
 
 
 def category_counts(
     event_sets: list[EventSet],
-    report_texts: Mapping[str, str | ReportRuns],
+    report_texts: Mapping[str, ReportRuns],
 ) -> dict[CategoryLabel, int]:
     """Label every value of every event set, as :func:`classify_category`
-    does; counts are per (set, value). A report's text is its whole
-    normalized text or its :class:`ReportRuns`."""
+    does; counts are per (set, value)."""
     counts = {label: 0 for label in CategoryLabel}
     for event_set in event_sets:
-        text = report_texts.get(event_set.report_title)
-        if text is None:
+        report = report_texts.get(event_set.report_title)
+        if report is None:
             raise ValueError(f"no report text for {event_set.report_title!r}")
-        runs, whole = (text, None) if isinstance(text, str) else text
-        lowered = runs.lower()
+        text = report.runs
+        lowered = text.lower()
         # Side 0 is the report event, side 1 the malware events.
         holders = value_holders(((0, [event_set.report_event]), (1, event_set.malware_events))).items()
         parser_values = {value for (_, value), sides in holders if sides[0] == 0}
@@ -114,11 +114,11 @@ def category_counts(
         windows = _hex_windows(lowered) if hashes else set()
         in_report = sum(value.lower() in windows for value in hashes)
         fitting = {value for value in analysis_only - hashes if fits_in_runs(value)}
-        in_report += sum(_in_report(value, runs, lowered) for value in fitting)
+        in_report += sum(_in_report(value, text, lowered) for value in fitting)
         others = analysis_only - hashes - fitting
         if others:
-            if whole is not None:
-                text = whole()
+            if report.whole is not None:
+                text = report.whole()
                 lowered = text.lower()
             in_report += sum(_in_report(value, text, lowered) for value in others)
         counts[CategoryLabel.MALWARE_IN_REPORT] += in_report
@@ -143,7 +143,7 @@ def _largest_remainder_percentages(counts: dict[CategoryLabel, int]) -> dict[Cat
 
 def category_percentages(
     event_sets: list[EventSet],
-    report_texts: Mapping[str, str | ReportRuns],
+    report_texts: Mapping[str, ReportRuns],
 ) -> dict[CategoryLabel, int]:
     if not event_sets:
         raise ValueError("dataset is empty")
@@ -313,7 +313,7 @@ class StatTables(NamedTuple):
 def compute_stat_tables(
     events: list[Event],
     enrichment: EnrichmentResult,
-    report_texts: Mapping[str, str | ReportRuns],
+    report_texts: Mapping[str, ReportRuns],
 ) -> StatTables:
     event_sets = group_event_sets(events)
     return StatTables(

@@ -66,13 +66,13 @@ class PipelineConfig(NamedTuple):
             except ValueError as exc:
                 raise ConfigError(f"extensions: {exc}") from exc
         if self.defang_extra:
-            from .extraction import DEFANG_TABLE, _SCHEME_DEFANGS  # only here, as above
+            from .defang import DEFANG_TABLE, SCHEME_DEFANGS
 
             # The built-in entry runs first in every pass, so a repeat of it
             # would fire only on a token nested inside another.
             for pattern, _ in self.defang_extra:
                 for builtin, _ in DEFANG_TABLE:
-                    if pattern == builtin or (builtin in _SCHEME_DEFANGS and pattern.lower() == builtin):
+                    if pattern == builtin or (builtin in SCHEME_DEFANGS and pattern.lower() == builtin):
                         raise ConfigError(f"defang.{pattern}: repeats the built-in defang pattern {builtin!r}")
         live = self.provider_live
         if live is not None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ctipipe.analytics import PipelineSummary, category_percentages, classify_category, pipeline_summary
+from ctipipe.analytics import PipelineSummary, ReportRuns, category_percentages, classify_category, pipeline_summary
 from ctipipe.cli import run_command
 from ctipipe.correlation import build_graph, exact_edges, find_path, fuzzy_edges
 from ctipipe.enrichment import AnalysisRecord, EnrichmentResult, enrich_transitively
@@ -117,7 +117,7 @@ def test_04_category_oracle():
             got = classify_category(value, parser_values, malware_values, text)
             assert got == naive_classify(value, parser_values, malware_values, text), value
         labeled_set = make_event_set("r.pdf", sorted(parser_values), sorted(malware_values))
-        percentages = category_percentages([labeled_set], {"r.pdf": text})
+        percentages = category_percentages([labeled_set], {"r.pdf": ReportRuns(text)})
         assert sum(percentages.values()) == 100
     report(4, "category labels agree with the naive oracle on 100 random fixtures")
 

@@ -12,6 +12,7 @@ from ctipipe.analytics import (
     _hex_windows,
     _in_report,
     PipelineSummary,
+    ReportRuns,
     category_counts,
     category_percentages,
     classify_category,
@@ -131,7 +132,7 @@ def make_event_set(title, parser_values, malware_values, set_id=1):
 class TestCategoryPercentages:
     def test_uniform_four_values(self):
         event_set = make_event_set("r.pdf", ["p_only", "shared"], ["shared", "missed", "fresh"])
-        texts = {"r.pdf": "the report mentions missed explicitly"}
+        texts = {"r.pdf": ReportRuns("the report mentions missed explicitly")}
         counts = category_counts([event_set], texts)
         assert counts == {
             CategoryLabel.PARSER_ONLY: 1,
@@ -152,7 +153,7 @@ class TestCategoryPercentages:
             parser_values = [f"p{i}" for i in range(rng.randint(1, 6))]
             malware_values = [f"m{i}" for i in range(rng.randint(1, 6))]
             event_set = make_event_set("r.pdf", parser_values, malware_values)
-            texts = {"r.pdf": " ".join(rng.sample(malware_values, rng.randint(0, len(malware_values))))}
+            texts = {"r.pdf": ReportRuns(" ".join(rng.sample(malware_values, rng.randint(0, len(malware_values)))))}
             percentages = category_percentages([event_set], texts)
             assert sum(percentages.values()) == 100
 
@@ -171,7 +172,7 @@ class TestCategoryPercentages:
         malware_values = ["c2.evil.net", "b.example.com", "a" * 32, "b" * 40, "Marker", "C" * 64]
         event_set = make_event_set("r.pdf", ["p"], malware_values)
         text = CountingText("saw C2.EVIL.NET, a Marker and " + "A" * 32 + " and " + "c" * 70)
-        counts = category_counts([event_set], {"r.pdf": text})
+        counts = category_counts([event_set], {"r.pdf": ReportRuns(text)})
         assert len(lowered) == 1
         expected = {label: 0 for label in CategoryLabel}
         for value in ["p", *malware_values]:
@@ -311,7 +312,7 @@ class TestPipelineSummary:
 def test_compute_stat_tables_bundles_views():
     events = load_all(DATA_DIR / "golden_store.jsonl")
     text_path = DATA_DIR / "golden" / "reports" / "Cylance_Operation_Cleaver_Report.txt"
-    texts = {"Cylance_Operation_Cleaver_Report.pdf": text_path.read_text()}
+    texts = {"Cylance_Operation_Cleaver_Report.pdf": ReportRuns(text_path.read_text())}
     enrichment = EnrichmentResult(query_count=1)
     tables = compute_stat_tables(events, enrichment, texts)
     assert tables.summary.reports == 1
@@ -446,7 +447,6 @@ _COUNT_PIECES = st.sampled_from([
 def test_report_runs_count_as_the_whole_text(raw, slices, swaps):
     # Analysis values cut from the normalized text, some with their case
     # swapped, counted through ReportRuns and through the whole text.
-    from ctipipe.analytics import ReportRuns
     from ctipipe.extraction import indicator_runs, normalize_defanged
 
     whole = normalize_defanged(raw)

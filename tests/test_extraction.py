@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctipipe import extraction
+from ctipipe.defang import SCHEME_DEFANGS
 from ctipipe.extraction import (
     DEFANG_TABLE,
     DEFAULT_FILENAME_EXTENSIONS,
@@ -568,6 +569,21 @@ class _RecordedPattern:
         return self.pattern.finditer(string, pos, end)
 
 
+def _record_scans(monkeypatch):
+    """Make the nine patterns add the length of each span they scan, by
+    name, into the returned dict."""
+    scanned = {}
+    for name in ("_URL_RE", "_REGISTRY_RE", "_HEX_RUN_RE", "_IP_RE", "_EMAIL_RE", "_PDB_RE",
+                 "_CVE_RE", "_HOSTNAME_RE"):
+        monkeypatch.setattr(extraction, name, _RecordedPattern(getattr(extraction, name), scanned, name))
+    filename_pattern = extraction._filename_pattern
+    monkeypatch.setattr(
+        extraction, "_filename_pattern",
+        lambda extensions: _RecordedPattern(filename_pattern(extensions), scanned, "filename"),
+    )
+    return scanned
+
+
 def test_patterns_scan_only_trigger_windows(monkeypatch):
     doc = normalize_defanged(
         (GOLDEN_DIR / "reports" / "Cylance_Operation_Cleaver_Report.txt").read_text()
@@ -579,15 +595,7 @@ def test_patterns_scan_only_trigger_windows(monkeypatch):
         len(run) for run in re.findall(r"\S+", doc) if re.search(r"[.@\\:\-]\S|[0-9A-Fa-f]{32}", run)
     )
     assert budget < len(doc) // 2
-    scanned = {}
-    for name in ("_URL_RE", "_REGISTRY_RE", "_HEX_RUN_RE", "_IP_RE", "_EMAIL_RE", "_PDB_RE",
-                 "_CVE_RE", "_HOSTNAME_RE"):
-        monkeypatch.setattr(extraction, name, _RecordedPattern(getattr(extraction, name), scanned, name))
-    filename_pattern = extraction._filename_pattern
-    monkeypatch.setattr(
-        extraction, "_filename_pattern",
-        lambda extensions: _RecordedPattern(filename_pattern(extensions), scanned, "filename"),
-    )
+    scanned = _record_scans(monkeypatch)
     assert extract_indicators(doc, "r") == expected
     assert len(scanned) == 9
     for name, total in scanned.items():
@@ -607,10 +615,8 @@ _RUN_HEX = st.sampled_from([31, 32, 33, 40, 64, 65]).flatmap(
     lambda n: st.text(alphabet="0123456789abcdefABCDEF", min_size=n, max_size=n)
 )
 _RUN_TEXTS = st.lists(st.one_of(_RUN_PIECES, _RUN_PIECES, _RUN_HEX), max_size=30).map("".join)
-# Extra entries with empty replacements and backslash templates; the ones
-# holding whitespace or of one character take the whole-text path. "tpzz"
-# can match only after "hxxp" became "http"; "HXXP" only after "[x]" made
-# a token of "h[x]xp", and its replacement "h\\g<0>" is a template.
+# Extra entries with empty replacements, backslash templates and
+# whitespace; any of them sends indicator_runs down the whole-text path.
 _RUN_ENTRIES = st.tuples(
     st.sampled_from(["[x]", "(dot)", "[:]", "xx", "[-]", "tpzz", "zz", "x", "\u2022", "[ dot ]", "x y", "HXXP",
                      "[\\]"]),
@@ -658,9 +664,28 @@ class TestIndicatorRuns:
         assert _kinds_and_values(extract_indicators(extraction.indicator_runs(raw), path.name)) == _kinds_and_values(
             extract_indicators(normalize_defanged(raw), path.name))
 
-    def test_builtin_table_adds_one_trigger(self):
-        # "[dot]" and "[at]" are the built-in patterns that hold no trigger.
-        assert extraction._raw_trigger(()).pattern == r"[\.@\\:\-\[](?=\S)"
+    def test_raw_triggers_cover_the_builtin_table(self):
+        # Each built-in pattern but the scheme tokens holds a trigger or
+        # starts with one of the raw runs: "[dot]" and "[at]" with "[".
+        for pattern, replacement in DEFANG_TABLE:
+            assert not any(map(str.isspace, pattern + replacement)), pattern
+            if pattern not in SCHEME_DEFANGS:
+                assert extraction._RAW_TRIGGER_RE.match(pattern) or extraction._TRIGGER_RE.search(pattern), pattern
+
+    @given(_RUN_TEXTS, st.lists(_RUN_ENTRIES, min_size=1, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_added_entries_take_the_whole_text(self, text, extra):
+        assert extraction.indicator_runs(text, extra) == normalize_defanged(text, extra)
+
+    def test_patterns_scan_the_runs_once(self, monkeypatch):
+        # The trigger runs fill what indicator_runs returns, so each
+        # pattern scans it whole rather than run by run.
+        raw = (GOLDEN_DIR / "reports" / "Cylance_Operation_Cleaver_Report.txt").read_text() + "\n" + SAMPLE_DOC
+        runs = extraction.indicator_runs(raw)
+        expected = extract_indicators(runs, "r")
+        scanned = _record_scans(monkeypatch)
+        assert extract_indicators(runs, "r") == expected
+        assert scanned == dict.fromkeys(scanned, len(runs)) and len(scanned) == 9
 
     def test_values_that_fit(self):
         assert extraction.fits_in_runs("evil.com")

@@ -71,6 +71,20 @@ def test_setup_start_loads_no_dataclass_machinery_or_patterns(tmp_path):
     assert sorted(loaded & (DATACLASS_MACHINERY | {"ctipipe.extraction"})) == []
 
 
+def test_defang_entries_are_checked_without_the_indicator_patterns(tmp_path, capsys):
+    # Validation compares them with the built-in table, which lives apart
+    # from the patterns, so a path query under such a config compiles none.
+    config = write_config(tmp_path, LAZARUS_DIR / "reports", **{"defang.[:]": ":"})
+    loaded = loaded_modules(
+        "import ctipipe; from ctipipe.config import load_config; load_config(sys.argv[1])", str(config)
+    )
+    assert "ctipipe.defang" in loaded and "ctipipe.extraction" not in loaded
+    assert run_command(["-c", str(config), "ingest"]) == 0
+    capsys.readouterr()
+    code = "from ctipipe.cli import run_command; assert run_command(sys.argv[1:]) == 0"
+    assert "ctipipe.extraction" not in loaded_modules(code, "-c", str(config), "correlate", "--path", "1", "3")
+
+
 def test_commands_load_the_indicator_patterns_only_where_they_extract(tmp_path):
     # Each command runs in a fresh interpreter on the store the one before
     # it left; only ingest, enrich and stats use the extraction patterns,
