@@ -90,7 +90,8 @@ class CorrelationGraph:
     def links(self) -> list[Link]:
         # Back-links are never name-like, so cross_set_only leaves the
         # similar pairs as they are.
-        links = [Link(EXACT, data_type, value, (ids := tuple(keys)), value, ids, 1.0)
+        # tuple.__new__ is what Link._make does, without a Python-level call.
+        links = [tuple.__new__(Link, (EXACT, data_type, value, (ids := tuple(keys)), value, ids, 1.0))
                  for (data_type, value), keys in self.holders.items() if len(keys) > 1]
         if self.options.fuzzy:
             links += _similar_values(self.holders, self.options.threshold)
@@ -161,11 +162,13 @@ class CorrelationGraph:
                 yield Edge(a, b, *fields[rank])
 
     def edge_count(self) -> int:
-        """The number of edges :meth:`edges` yields, counted from the links."""
+        """The number of edges :meth:`edges` yields, counted from the links:
+        a fuzzy link's pairs less those of an event with itself."""
         return sum(
-            comb(len(link.left), 2) if link.kind == EXACT
-            else len(link.left) * len(link.right) - len(set(link.left) & set(link.right))
-            for link in self.links
+            comb(len(left), 2) if kind == EXACT
+            else left != right if len(left) == len(right) == 1
+            else len(left) * len(right) - len(set(left).intersection(right))
+            for kind, _, _, left, _, right, _ in self.links
         )
 
 
@@ -269,7 +272,7 @@ def _similar_values(owners: Mapping[tuple[str, str], Sequence[int]], threshold: 
             group = by_canonical[short]
             for k, (value_l, ids_l) in enumerate(group):
                 for value_r, ids_r in group[k + 1:]:
-                    similar.append(Link(FUZZY, data_type, value_l, ids_l, value_r, ids_r, 1.0))
+                    similar.append(tuple.__new__(Link, (FUZZY, data_type, value_l, ids_l, value_r, ids_r, 1.0)))
             n = len(short)
             # Score the names after this one up to the first that fails even
             # with LCS = n, its largest value: every longer name fails too.
@@ -285,7 +288,8 @@ def _similar_values(owners: Mapping[tuple[str, str], Sequence[int]], threshold: 
                     weight = round(2.0 * lcs / (n + len(long)), 9)
                     for value_l, ids_l in group:
                         for value_r, ids_r in by_canonical[long]:
-                            similar.append(Link(FUZZY, data_type, value_l, ids_l, value_r, ids_r, weight))
+                            similar.append(tuple.__new__(
+                                Link, (FUZZY, data_type, value_l, ids_l, value_r, ids_r, weight)))
     return similar
 
 

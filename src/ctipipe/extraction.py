@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .defang import DEFANG_TABLE, SCHEME_DEFANGS
@@ -204,14 +205,20 @@ def looks_like_hostname(value: str) -> bool:
 
 
 def _filename_pattern(extensions: Iterable[str]) -> re.Pattern[str]:
-    """The filename pattern for ``extensions``; ValueError if one holds
+    """The filename pattern for ``extensions``, one per set of them
+    lowercased and without leading dots; ValueError if one holds
     whitespace, which no indicator may span."""
-    extensions = sorted(set(ext.lower().lstrip(".") for ext in extensions))
-    for ext in extensions:
+    return _filename_pattern_of(frozenset(ext.lower().lstrip(".") for ext in extensions))
+
+
+@lru_cache(maxsize=16)
+def _filename_pattern_of(extensions: frozenset[str]) -> re.Pattern[str]:
+    ordered = sorted(extensions)
+    for ext in ordered:
         if any(ch.isspace() for ch in ext):
             raise ValueError(f"filename extension {ext!r} contains whitespace")
-    alternatives = "|".join(re.escape(ext) for ext in extensions)
-    return re.compile(rf"\b[\w.\-]+\.(?:{alternatives})\b", re.IGNORECASE)  # re caches the compiled pattern
+    alternatives = "|".join(re.escape(ext) for ext in ordered)
+    return re.compile(rf"\b[\w.\-]+\.(?:{alternatives})\b", re.IGNORECASE)
 
 
 class _Candidate(NamedTuple):

@@ -6,7 +6,7 @@ import tracemalloc
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctipipe.correlation as correlation
@@ -948,7 +948,12 @@ class TestLinkSearch:
         if options.fuzzy:
             assert fuzzy_edges(events, options.threshold) == [e for e in edges if e.kind == FUZZY]
 
+    # One event holding both values of a fuzzy pair, then two fuzzy sides
+    # of two events each that share one.
     @given(_graph_events, options)
+    @example([event(1, [("hostname", "evil.com"), ("hostname", "evil.net")])], GraphOptions(fuzzy=True))
+    @example([event(1, [("filename", "alpha.exe")]), event(2, [("filename", "alpha.exe"), ("filename", "alpha.dll")]),
+              event(3, [("filename", "alpha.dll")])], GraphOptions(fuzzy=True))
     @settings(max_examples=300)
     def test_edge_count_matches_edge_list(self, events, options):
         graph = build_graph(events, options)

@@ -426,6 +426,29 @@ def test_extension_with_whitespace_rejected():
     # "backup.tar gz" would otherwise be one filename spanning a space.
     with pytest.raises(ValueError, match="whitespace"):
         extract_indicators("kept backup.tar gz here", "r", extensions={"exe", "tar gz"})
+    # Raised again on every call: an error is not remembered as a pattern.
+    with pytest.raises(ValueError, match="'tar gz' contains whitespace"):
+        extract_indicators("kept", "r", extensions=["TAR GZ", ".exe"])
+
+
+def test_filename_pattern_is_compiled_once_per_extension_set(monkeypatch):
+    # Extensions no other test uses, so no compiled pattern of them exists yet.
+    compiled = []
+
+    def compile_recorded(pattern, flags=0):
+        compiled.append(pattern)
+        return compile_pattern(pattern, flags)
+
+    compile_pattern = re.compile
+    monkeypatch.setattr(re, "compile", compile_recorded)
+    spellings = [["qz7", "QZ8", "qz9"], ("qz9", ".qz8", "QZ7"), {".QZ9", "Qz7", "qz8"},
+                 frozenset({"qz8", "qz9", "qz7"}), iter(["QZ8", "qz7", ".Qz9", "qz9"])]
+    patterns = [extraction._filename_pattern(spelling) for spelling in spellings]
+    assert all(pattern is patterns[0] for pattern in patterns)
+    assert len(compiled) == 1
+    assert patterns[0].fullmatch("Dropper.QZ8")
+    assert extraction._filename_pattern(["qz7", "qz8"]) is not patterns[0]
+    assert len(compiled) == 2
 
 
 EVERY_CHARACTER = "".join(map(chr, range(0x110000)))

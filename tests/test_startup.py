@@ -5,6 +5,7 @@ against a bare one in the same environment, because ``site`` may already
 have loaded modules of its own."""
 
 import ast
+import gc
 import importlib
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -136,6 +137,37 @@ def test_torn_tail_warns_on_stderr_from_a_fresh_interpreter(tmp_path, capsys, ar
     result = run_python("-c", "from ctipipe.cli import main; main()", "-c", str(config), *arguments)
     assert result.returncode == code, result.stderr
     assert f"{tmp_path / 'events.jsonl'}: ignoring 24 uncommitted trailing bytes\n" in result.stderr
+
+
+# ``python -m ctipipe`` as runpy runs it, with an exit hook that prints,
+# last on standard error, how many objects the collector has frozen.
+_FREEZE_COUNT_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("ctipipe", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("goal, code", [(3, 0), (9, 2)])
+def test_only_the_process_entry_freezes_the_start_up_heap(tmp_path, capsys, goal, code):
+    config = write_config(tmp_path, LAZARUS_DIR / "reports")
+    assert run_command(["-c", str(config), "ingest"]) == 0
+    capsys.readouterr()
+    arguments = ["-c", str(config), "correlate", "--path", "1", str(goal)]
+    frozen = gc.get_freeze_count()
+    assert run_command(arguments) == code
+    assert gc.get_freeze_count() == frozen  # in-process callers keep their heap as it was
+    expected = capsys.readouterr()
+
+    plain = run_python("-m", "ctipipe", *arguments)
+    hooked = run_python("-c", _FREEZE_COUNT_AT_EXIT, *arguments)
+    for result in (plain, hooked):
+        assert (result.returncode, result.stdout) == (code, expected.out), result.stderr
+    assert plain.stderr == expected.err
+    *lines, last = hooked.stderr.splitlines(keepends=True)
+    assert "".join(lines) == expected.err
+    assert last.split()[0] == "frozen" and int(last.split()[1]) > 1000, last
+    assert run_python("-c", "import gc; print(gc.get_freeze_count())").stdout == "0\n"  # nothing else freezes
 
 
 def test_no_module_imports_dataclasses():
