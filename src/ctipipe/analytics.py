@@ -16,7 +16,7 @@ from .events import (
     report_hashes,
     value_holders,
 )
-from .extraction import _HEX_MASK, _HEX_TRIGGER, fits_in_runs, is_valid_hash, looks_like_hostname
+from .extraction import fits_in_runs, is_valid_hash, looks_like_hostname
 
 
 class CategoryLabel(Enum):
@@ -58,32 +58,12 @@ def _in_report(value: str, report_text: str, lowered_text: str) -> bool:
     return value in report_text
 
 
-def _hex_windows(lowered_text: str) -> set[str]:
-    """Every 32-, 40- and 64-character window of the lowercased text's runs
-    of hex digits: a hash is in the text exactly when its lowercased form
-    is one of them, since a hash is a hex run of one of those lengths."""
-    # One byte per character, 1 for a hex digit; runs of 32 or more are found
-    # with bytes.find, as extraction finds its hex triggers.
-    hex_mask = lowered_text.encode("ascii", "replace").translate(_HEX_MASK)
-    windows: set[str] = set()
-    start = hex_mask.find(_HEX_TRIGGER)
-    while start >= 0:
-        end = hex_mask.find(0, start)
-        if end < 0:
-            end = len(hex_mask)
-        run = lowered_text[start:end]
-        for length in (32, 40, 64):
-            windows.update(run[i:i + length] for i in range(len(run) - length + 1))
-        start = hex_mask.find(_HEX_TRIGGER, end)
-    return windows
-
-
 class ReportRuns(NamedTuple):
     """A report's text as ``stats`` reads it: ``runs``, what
-    :func:`extraction.indicator_runs` returns for it, and ``whole``, which
-    builds its whole normalized text, for the values that do not
-    :func:`extraction.fits_in_runs`. Without ``whole``, ``runs`` is the
-    whole normalized text."""
+    :func:`extraction.indicator_runs` returns for it under every defang
+    table, and ``whole``, which builds its whole normalized text, for the
+    values that do not :func:`extraction.fits_in_runs`; every hash fits.
+    Without ``whole``, ``runs`` is a text that is whole already."""
 
     runs: str
     whole: Callable[[], str] | None = None
@@ -110,12 +90,9 @@ def category_counts(
         counts[CategoryLabel.BOTH] += both
         counts[CategoryLabel.PARSER_ONLY] += len(parser_values) - both
         analysis_only = malware_values - parser_values
-        hashes = {value for value in analysis_only if is_valid_hash(value)}
-        windows = _hex_windows(lowered) if hashes else set()
-        in_report = sum(value.lower() in windows for value in hashes)
-        fitting = {value for value in analysis_only - hashes if fits_in_runs(value)}
-        in_report += sum(_in_report(value, text, lowered) for value in fitting)
-        others = analysis_only - hashes - fitting
+        fitting = {value for value in analysis_only if fits_in_runs(value)}
+        in_report = sum(_in_report(value, text, lowered) for value in fitting)
+        others = analysis_only - fitting
         if others:
             if report.whole is not None:
                 text = report.whole()

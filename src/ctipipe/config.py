@@ -180,7 +180,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         data = _parse_key_values(text)
 
     def resolve(key: str, value) -> Path:
-        value = Path(_string(key, value))
+        # An empty value would resolve to the config file's own directory.
+        if not _string(key, value).strip():
+            raise ConfigError(f"{key}: expected a path, got {value!r}")
+        value = Path(value)
         return value if value.is_absolute() else (path.parent / value).resolve()
 
     # Each setting read is popped from ``data``, so a key left names none.

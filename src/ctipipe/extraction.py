@@ -2,8 +2,8 @@
 
 Reports conventionally defang indicators (hxxp, "[.]", "[at]") to keep them
 non-clickable; :func:`normalize_defanged` reverses that before the pattern
-grammar in :func:`extract_indicators` runs. :func:`indicator_runs` does so
-only in the parts of a report that can hold an indicator. The grammar is
+grammar in :func:`extract_indicators` runs. :func:`indicator_runs` keeps
+only the parts of a report that can hold an indicator. The grammar is
 deliberately fixed so the same text always yields the same indicator list.
 """
 
@@ -92,12 +92,14 @@ _TRIGGER_RE = re.compile(r"[.@\\:\-](?=\S)")
 _HEX_MASK = bytes(chr(byte) in "0123456789ABCDEFabcdef" for byte in range(256))
 _HEX_TRIGGER = b"\x01" * 32
 _RUN_END_RE = re.compile(r"\S*")
-# The triggers of the raw runs that indicator_runs keeps under the built-in
-# defang table. No entry's pattern or replacement holds whitespace, so each
-# run is normalized on its own, and a run changes only where "hxxp" or
-# "hxxps" becomes "http" or "https", adding no trigger and no hex digit, or
-# where a bracket pattern matches: one holding a trigger, or "[dot]" or
-# "[at]", which start with "[" followed by a non-whitespace character.
+# The triggers of the runs that indicator_runs keeps. Under the built-in
+# defang table they are runs of the raw text: no entry's pattern or
+# replacement holds whitespace, so each run is normalized on its own, and a
+# run changes only where "hxxp" or "hxxps" becomes "http" or "https", adding
+# no trigger and no hex digit, or where a bracket pattern matches: one
+# holding a trigger, or "[dot]" or "[at]", which start with "[" followed by
+# a non-whitespace character. Under added entries they are runs of the
+# normalized text, where "[" only keeps a few runs more.
 _RAW_TRIGGER_RE = re.compile(r"[.@\\:\-\[](?=\S)")
 
 # Lower rank = higher priority when spans collide.
@@ -135,18 +137,22 @@ def normalize_defanged(raw: str, extra_table: Sequence[tuple[str, str]] | None =
 
 
 def indicator_runs(raw: str, extra_table: Sequence[tuple[str, str]] | None = None) -> str:
-    """:func:`normalize_defanged` of the whitespace-delimited runs of ``raw``
-    that can hold an indicator once defanging is undone, joined by single
-    spaces.
+    """The whitespace-delimited runs of ``normalize_defanged(raw,
+    extra_table)`` that can hold an indicator, joined by single spaces.
 
     :func:`extract_indicators` finds in it the kinds and values, in this
-    order, that it finds in ``normalize_defanged(raw, extra_table)``, and
-    it holds every string that :func:`fits_in_runs` wherever that text
-    does. With added defang entries, it is that whole text.
+    order, that it finds in that whole text, and it holds every string that
+    :func:`fits_in_runs` wherever that text does. Under the built-in table
+    only the runs of ``raw`` are normalized; added entries may hold
+    whitespace, so with them the whole report is normalized first.
     """
     if extra_table:
-        return normalize_defanged(raw, extra_table)
-    return normalize_defanged(" ".join(raw[start:end] for start, end in _windows(raw, _RAW_TRIGGER_RE)))
+        return _trigger_runs(normalize_defanged(raw, extra_table))
+    return normalize_defanged(_trigger_runs(raw))
+
+
+def _trigger_runs(text: str) -> str:
+    return " ".join(text[start:end] for start, end in _windows(text, _RAW_TRIGGER_RE))
 
 
 def fits_in_runs(value: str) -> bool:
@@ -307,7 +313,8 @@ def extract_indicators(
     """Return all non-overlapping indicators in ``doc``, sorted by position.
 
     ``doc`` is expected to have passed through :func:`normalize_defanged`,
-    alone or in :func:`indicator_runs`.
+    alone or in :func:`indicator_runs`, whose trigger runs fill what it
+    returns under every defang table, so each pattern scans that once.
     Overlaps resolve in favor of the wider span, then the more specific kind:
     a URL swallows its own hostname and any filename in its path, an email
     swallows its domain, and a hash run is claimed by exactly one hash kind.

@@ -2,14 +2,14 @@ import datetime as dt
 import hashlib
 import json
 import random
+import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctipipe.analytics import (
     CategoryLabel,
-    _hex_windows,
     _in_report,
     PipelineSummary,
     ReportRuns,
@@ -25,6 +25,7 @@ from ctipipe.events import Attribute, Event, EventSet, MALWARE, REPORT, group_ev
 from ctipipe.store import load_all
 
 from conftest import CLEAVER_SHA1, DATA_DIR, write_config
+from test_extraction import _RUN_ENTRIES, _RUN_HEX
 
 
 def naive_classify(value, parser_values, malware_values, report_text):
@@ -179,27 +180,6 @@ class TestCategoryPercentages:
             expected[classify_category(value, {"p"}, set(malware_values), str(text))] += 1
         assert counts == expected
         assert counts[CategoryLabel.MALWARE_IN_REPORT] == 4
-
-    @given(st.lists(st.one_of(st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=80),
-                              st.text(alphabet=" xg-\u00e9.\n", min_size=1, max_size=3)), max_size=6),
-           st.data())
-    @settings(max_examples=300)
-    def test_hex_windows_match_substring_scan(self, pieces, data):
-        # Hex runs of any length, longer than 64 too, at the text's edges and
-        # in mixed case; the hashes are windows of the text or drawn apart.
-        text = "".join(pieces)
-        lowered = text.lower()
-        windows = _hex_windows(lowered)
-        hashes = data.draw(st.lists(st.sampled_from([32, 40, 64]).flatmap(
-            lambda length: st.text(alphabet="0123456789abcdefABCDEF", min_size=length, max_size=length)), max_size=4))
-        for start in data.draw(st.lists(st.integers(0, len(text)), max_size=4)):
-            for length in (32, 40, 64):
-                window = text[start:start + length]
-                hashes.append(window.swapcase() if data.draw(st.booleans()) else window)
-        for value in hashes:
-            if len(value) in (32, 40, 64) and all(c in "0123456789abcdefABCDEF" for c in value):
-                assert (value.lower() in windows) == _in_report(value, text, lowered), value
-        assert all(len(window) in (32, 40, 64) for window in windows)
 
     def test_missing_report_text_rejected(self):
         event_set = make_event_set("r.pdf", ["a"], ["b"])
@@ -437,19 +417,25 @@ def test_stats_counts_defanged_and_unfitting_values_as_the_whole_text_does(tmp_p
 
 _COUNT_PIECES = st.sampled_from([
     " ", "\n", "\u00a0", "\u3000", "a", "b", "Ev", "[.]", "[dot]", "hXxP://", ".", "-", "@", ":", "\u00e9",
-    "c" * 32, "D" * 40, "e" * 33,
+    "(dot)", "[ dot ]", "x y",
 ])
 
 
-@given(st.lists(_COUNT_PIECES, max_size=25).map("".join), st.lists(st.tuples(st.integers(0, 120), st.integers(1, 45)),
-                                                                   max_size=8), st.lists(st.booleans(), max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_report_runs_count_as_the_whole_text(raw, slices, swaps):
+@given(st.lists(st.one_of(_COUNT_PIECES, _RUN_HEX), max_size=25).map("".join), st.lists(_RUN_ENTRIES, max_size=2),
+       st.lists(st.tuples(st.integers(0, 150), st.one_of(st.integers(1, 45), st.sampled_from([32, 40, 64]))),
+                max_size=8), st.lists(st.booleans(), max_size=8))
+@settings(max_examples=300, deadline=None)
+@example("X" + "aB" * 20 + " q", [], [(1, 32)], [True])
+@example("evil(dot)com " + "F" * 32, [("(dot)", ".")], [(0, 8), (9, 32)], [False, True])
+def test_report_runs_count_as_the_whole_text(raw, extra, slices, swaps):
     # Analysis values cut from the normalized text, some with their case
-    # swapped, counted through ReportRuns and through the whole text.
+    # swapped, counted through ReportRuns and through the whole text, under
+    # added defang entries too. Mixed-case hex runs of 31 to 65 digits and
+    # slices of exactly 32, 40 and 64 characters make hashes that occur in
+    # the text in another case, inside longer hex runs, or only in part.
     from ctipipe.extraction import indicator_runs, normalize_defanged
 
-    whole = normalize_defanged(raw)
+    whole = normalize_defanged(raw, extra)
     values = set()
     for (start, length), swap in zip(slices, swaps + [False] * len(slices)):
         value = whole[start:start + length]
@@ -458,6 +444,12 @@ def test_report_runs_count_as_the_whole_text(raw, slices, swaps):
     event_set = make_event_set("r.pdf", ["p"], malware_values)
     expected = {label: 0 for label in CategoryLabel}
     for value in {"p", *malware_values}:
-        expected[classify_category(value, {"p"}, set(malware_values), whole)] += 1
-    runs = ReportRuns(indicator_runs(raw), lambda: normalize_defanged(raw))
+        # A hash is in the text caselessly, by its definition here rather
+        # than through _in_report, which classify_category shares.
+        if len(value) in (32, 40, 64) and all(c in string.hexdigits for c in value):
+            found = value.lower() in whole.lower()
+            expected[CategoryLabel.MALWARE_IN_REPORT if found else CategoryLabel.MALWARE_NEW] += 1
+        else:
+            expected[classify_category(value, {"p"}, set(malware_values), whole)] += 1
+    runs = ReportRuns(indicator_runs(raw, extra), lambda: normalize_defanged(raw, extra))
     assert category_counts([event_set], {"r.pdf": runs}) == expected

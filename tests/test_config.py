@@ -11,6 +11,8 @@ from ctipipe.cli import run_command
 from ctipipe.config import ConfigError, LiveProviderConfig, PipelineConfig, load_config
 from ctipipe.providers import FixtureProvider, HttpProvider
 
+from conftest import GOLDEN_DIR, write_config
+
 
 def write(tmp_path, text, name="pipeline.conf"):
     path = tmp_path / name
@@ -351,3 +353,35 @@ class TestUnknownKeys:
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.conf")
+
+
+class TestEmptyPaths:
+    """An empty path setting names no path: resolved, it would be the config
+    file's own directory, so it is refused at load, naming the key."""
+
+    @pytest.mark.parametrize("key", ["provider", "reports_dir", "store_path", "denylist"])
+    @pytest.mark.parametrize("value", ["", "   "])
+    def test_key_value_file(self, tmp_path, key, value):
+        settings = {"reports_dir": "reports", "store_path": "events.jsonl", key: value}
+        text = "".join(f"{name} = {setting}\n" for name, setting in settings.items())
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["provider", "reports_dir", "store_path", "denylist"])
+    @pytest.mark.parametrize("value", ["", " \t"])
+    def test_json_file(self, tmp_path, key, value):
+        document = {"reports_dir": "reports", "store_path": "events.jsonl", key: value}
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_config(write(tmp_path, json.dumps(document)))
+
+    def test_enrich_leaves_the_store_unchanged(self, tmp_path, capsys):
+        config = write_config(tmp_path, GOLDEN_DIR / "reports")
+        assert run_command(["-c", str(config), "ingest"]) == 0
+        store = tmp_path / "events.jsonl"
+        before = store.read_bytes()
+        config.write_text(config.read_text(encoding="utf-8") + "provider =\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_command(["-c", str(config), "enrich"]) == 1
+        assert "provider" in capsys.readouterr().err
+        assert store.read_bytes() == before
+        assert not Path(str(store) + ".enrichment.json").exists()

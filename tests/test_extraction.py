@@ -697,8 +697,13 @@ class TestIndicatorRuns:
 
     @given(_RUN_TEXTS, st.lists(_RUN_ENTRIES, min_size=1, max_size=2))
     @settings(max_examples=100, deadline=None)
-    def test_added_entries_take_the_whole_text(self, text, extra):
-        assert extraction.indicator_runs(text, extra) == normalize_defanged(text, extra)
+    @example("evil(dot)com", [("(dot)", ".")])
+    def test_added_entries_keep_the_runs_of_the_normalized_text(self, text, extra):
+        # Added patterns may hold whitespace, so the whole text is
+        # normalized first; its runs are then picked by their definition.
+        runs = re.findall(r"\S+", normalize_defanged(text, extra))
+        expected = " ".join(run for run in runs if re.search(r"[.@\\:\-\[]\S|[0-9A-Fa-f]{32}", run))
+        assert extraction.indicator_runs(text, extra) == expected
 
     def test_patterns_scan_the_runs_once(self, monkeypatch):
         # The trigger runs fill what indicator_runs returns, so each
